@@ -40,7 +40,7 @@ use cpr_bench::{experiment_rng, experiment_seed, Json, TextTable};
 use cpr_bgp::bad_gadget;
 use cpr_graph::{generators, traversal, EdgeWeights, Graph, NodeId};
 use cpr_paths::dijkstra;
-use cpr_plane::{SelfHealingPlane, Served};
+use cpr_plane::{DirtySource, RepairPolicy, SelfHealingPlane, Served};
 use cpr_routing::{DestTable, RoutingScheme};
 use cpr_sim::{
     run_chaos_async_obs, run_chaos_sync, run_chaos_sync_obs, AsyncSimulator, ChaosOptions,
@@ -264,7 +264,9 @@ fn self_healing_drill(n: usize, obs: &cpr_obs::Obs) -> Json {
         !healing.base().is_current_for(&g2),
         "topology digest must detect the failed link"
     );
-    let stale = healing.observe(&g2).expect("same node count");
+    let stale = healing
+        .observe(&g2, DirtySource::Walks)
+        .expect("same node count");
     assert!(stale.stale && stale.dirty_pairs > 0);
 
     // Pre-repair: dirty pairs fall back to the live scheme.
@@ -283,8 +285,12 @@ fn self_healing_drill(n: usize, obs: &cpr_obs::Obs) -> Json {
     }
     assert_eq!(pre_fallback as usize, stale.dirty_pairs);
 
+    let never_forced = RepairPolicy {
+        max_dirty_fraction: 1.0,
+        ..RepairPolicy::default()
+    };
     let stats = healing
-        .repair_obs(&scheme2, &g2, obs)
+        .repair(&scheme2, &g2, DirtySource::Walks, &never_forced, obs)
         .expect("repair succeeds");
     assert!(
         !stats.full_rebuild,

@@ -1,7 +1,7 @@
 //! **Multi-algebra serving** — one process, twelve routing policies:
 //! all eight Table 1 algebras plus the BGP compositions `B1`–`B4`
 //! compiled into a single [`MultiRouteService`] sharing the graph
-//! substrate, hop matrix and header tables.
+//! substrate and header tables.
 //!
 //! The study measures three things:
 //!
@@ -183,7 +183,6 @@ fn memory_section(service: &MultiRouteService) -> Json {
     Json::obj([
         ("classes", Json::int(mem.classes)),
         ("nodes", Json::int(mem.nodes)),
-        ("hop_matrix_bits", Json::int(mem.hop_matrix_bits)),
         ("multi_total_bits", Json::int(mem.multi_total_bits)),
         (
             "independent_total_bits",

@@ -1,11 +1,12 @@
 //! Closed-loop serving benchmark over the `cpr-serve` daemon.
 //!
-//! Boots a [`RouteServer`] on an ephemeral loopback port, drives it with
-//! the seed-deterministic load generator under three traffic mixes
-//! (uniform / gravity / hotspot), then pushes a seeded chaos storm
-//! through [`RouteService::reconcile`] while measuring latency inside
-//! vs outside the repair + swap windows, and finally audits a drain
-//! burst hop-for-hop against the live-scheme oracle for the post-swap
+//! Boots a [`RouteServer`] over a one-class [`MultiRouteService`] on an
+//! ephemeral loopback port, drives it with the seed-deterministic load
+//! generator under three traffic mixes (uniform / gravity / hotspot),
+//! then pushes a seeded chaos storm through
+//! [`MultiRouteService::reconcile`] while measuring latency inside vs
+//! outside the repair + swap windows, and finally audits a drain burst
+//! hop-for-hop against the live-scheme oracle for the post-swap
 //! topology.
 //!
 //! Writes `BENCH_serve.json` (override with `CPR_BENCH_OUT`). Knobs:
@@ -36,10 +37,11 @@ use cpr_bench::{
 };
 use cpr_graph::{EdgeWeights, Graph};
 use cpr_obs::Histogram;
-use cpr_plane::TrafficPattern;
+use cpr_plane::{MultiBuilder, RepairPolicy, TrafficPattern};
 use cpr_routing::{DestTable, RouteError};
 use cpr_serve::{
-    run_load, LoadConfig, LoadReport, RouteOutcome, RouteServer, RouteService, ServeConfig,
+    run_load, LoadConfig, LoadReport, MultiRouteService, MultiSwapReport, RouteOutcome,
+    RouteServer, ServeConfig,
 };
 use cpr_sim::{topology_timeline, FaultPlan, StormConfig, TopologyStep};
 
@@ -96,8 +98,12 @@ fn load_json(load: &LoadReport, elapsed_ms: f64) -> Json {
     ])
 }
 
-type Scheme = DestTable;
-type Service = RouteService<Scheme>;
+/// Rebuild only when every pair is dirty, never on a threshold — the
+/// storm's removal rows report what patching costs.
+const POLICY: RepairPolicy = RepairPolicy {
+    max_dirty_fraction: 1.0,
+    record_budget_ms: false,
+};
 
 struct ChurnResult {
     steps: Vec<Json>,
@@ -106,11 +112,13 @@ struct ChurnResult {
     swaps: u64,
 }
 
-fn swap_row(step: &TopologyStep, report: &cpr_serve::SwapReport, swap_ms: f64) -> Json {
-    let repair = report
+fn swap_row(step: &TopologyStep, report: &MultiSwapReport, swap_ms: f64) -> Json {
+    let repair = &report
         .repair
         .as_ref()
-        .expect("swapped steps carry a repair");
+        .expect("swapped steps carry a repair")
+        .class_stats[0]
+        .1;
     Json::obj([
         ("epoch", Json::int(report.epoch)),
         ("event", Json::str(format!("{:?}", step.event))),
@@ -128,7 +136,7 @@ fn swap_row(step: &TopologyStep, report: &cpr_serve::SwapReport, swap_ms: f64) -
 /// function of the seeds.
 fn churn_serialized(
     addr: SocketAddr,
-    service: &Service,
+    service: &MultiRouteService,
     graph: &Graph,
     changed: &[&TopologyStep],
     clients: usize,
@@ -143,11 +151,8 @@ fn churn_serialized(
     };
     let mut swaps = 0u64;
     for (i, step) in changed.iter().enumerate() {
-        let scheme = scheme_for(&step.graph);
         let t0 = Instant::now();
-        let report = service
-            .reconcile(scheme, step.graph.clone())
-            .expect("reconcile");
+        let report = service.reconcile(&step.graph, &POLICY).expect("reconcile");
         assert!(report.swapped, "changed step must swap");
         swaps += 1;
         steps.push(swap_row(step, &report, t0.elapsed().as_secs_f64() * 1e3));
@@ -173,7 +178,7 @@ fn churn_serialized(
 /// tagged by whether it completed inside a repair + swap window.
 fn churn_concurrent(
     addr: SocketAddr,
-    service: &Service,
+    service: &MultiRouteService,
     graph: &Graph,
     changed: &[&TopologyStep],
     clients: usize,
@@ -208,12 +213,9 @@ fn churn_concurrent(
         for step in changed {
             // Let the loader land queries on the current epoch first.
             std::thread::sleep(std::time::Duration::from_millis(10));
-            let scheme = scheme_for(&step.graph);
             window.store(true, Ordering::Relaxed);
             let t0 = Instant::now();
-            let report = service
-                .reconcile(scheme, step.graph.clone())
-                .expect("reconcile");
+            let report = service.reconcile(&step.graph, &POLICY).expect("reconcile");
             window.store(false, Ordering::Relaxed);
             assert!(report.swapped, "changed step must swap");
             swaps += 1;
@@ -244,9 +246,9 @@ fn main() {
         ..ServeConfig::default()
     };
     let service = Arc::new(
-        Service::new(
-            scheme_for(&g),
-            g.clone(),
+        MultiRouteService::new(
+            &g,
+            MultiBuilder::new().class("shortest-path", scheme_for),
             config,
             cpr_obs::Obs::with_null_tracer(),
         )

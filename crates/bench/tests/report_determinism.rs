@@ -90,7 +90,7 @@ fn plane_throughput_report_is_byte_deterministic() {
 }
 
 /// The churn survival bench drives random + targeted churn storms and
-/// a live `reconcile_with` drill; all report metrics are logical
+/// a live `reconcile` drill; all report metrics are logical
 /// (permille reachability, nearest-rank stretch percentiles, dirty-pair
 /// counts), and repair budgets are nulled with timing off, so the
 /// three-arm survival matrix is pinned byte-for-byte.

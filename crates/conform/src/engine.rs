@@ -34,7 +34,7 @@ use cpr_algebra::{
 };
 use cpr_graph::{EdgeWeights, Graph};
 use cpr_paths::{exhaustive_preferred_all, SourceRouting};
-use cpr_plane::SelfHealingPlane;
+use cpr_plane::{DirtySource, RepairPolicy, SelfHealingPlane};
 use cpr_routing::{
     route, CowenScheme, DestTable, LabelSwapping, LandmarkStrategy, RouteError, RoutingScheme,
     SrcDestTable, SwClassTable,
@@ -406,8 +406,19 @@ where
     let atoms2 = ctx.inst.atoms_without_heal_edge();
     let weights2 = ctx.alg.weights_from_atoms(&graph2, &atoms2);
     let scheme2 = DestTable::build(&graph2, &weights2, ctx.alg);
-    // `repair` re-observes the degraded topology first.
-    if let Err(e) = plane.repair(&scheme2, &graph2) {
+    // `repair` observes the degraded topology first; the threshold is
+    // off so the one failed link exercises the patch path.
+    let policy = RepairPolicy {
+        max_dirty_fraction: 1.0,
+        ..RepairPolicy::default()
+    };
+    if let Err(e) = plane.repair(
+        &scheme2,
+        &graph2,
+        DirtySource::Walks,
+        &policy,
+        &cpr_obs::Obs::disabled(),
+    ) {
         report
             .violations
             .push(ctx.violation(&name, "heal-repair", e.to_string()));

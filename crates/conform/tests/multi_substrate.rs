@@ -82,7 +82,24 @@ fn assert_substrate_shared(n: usize) {
         mem.distinct_adjacency_tables,
         mem.classes
     );
-    assert!(mem.hop_matrix_bits > 0);
+    // The total is exactly what serving reads: every class's transition
+    // arrays plus each distinct initial / adjacency table, once.
+    let mut expected = 0u64;
+    for (class, acct) in multi.classes().zip(&mem.per_class) {
+        expected += acct.transition_bits;
+        if !acct.initial_shared {
+            expected += acct.initial_bits;
+        }
+        if !acct.adjacency_shared {
+            expected += class.base().memory().adjacency_bits;
+        }
+    }
+    assert_eq!(mem.multi_total_bits, expected);
+    let owned = |shared: fn(&cpr_plane::ClassMemory) -> bool| {
+        mem.per_class.iter().filter(|c| !shared(c)).count()
+    };
+    assert_eq!(owned(|c| c.initial_shared), mem.distinct_initial_tables);
+    assert_eq!(owned(|c| c.adjacency_shared), mem.distinct_adjacency_tables);
     assert!(mem.savings_fraction() > 0.0);
     eprintln!(
         "n = {n}: {:.1} B/node multi vs {:.1} B/node independent ({:.1}% saved)",

@@ -16,12 +16,11 @@
 //! * **Repair** — [`SelfHealingPlane::repair`] re-traces only the dirty
 //!   pairs through the live scheme on the *new* graph, extending the
 //!   header intern space as needed, and installs the re-verified steps
-//!   in a patch layer that overrides the base arrays. Under the default
-//!   [`observe`](SelfHealingPlane::observe), edge additions dirty every
-//!   pair (any route may improve), which degenerates to a full
-//!   recompile; [`observe_with`](SelfHealingPlane::observe_with) /
-//!   [`repair_with`](SelfHealingPlane::repair_with) instead take a
-//!   [`DeltaOracle`] (typically a [`cpr_paths::DeltaTracker`]) that
+//!   in a patch layer that overrides the base arrays. Where the dirty
+//!   set comes from is the caller's [`DirtySource`]: under the built-in
+//!   [`DirtySource::Walks`] rule, edge additions dirty every pair (any
+//!   route may improve), which degenerates to a full recompile; a
+//!   [`DirtySource::Oracle`] (typically a [`cpr_paths::DeltaTracker`])
 //!   bounds the affected pairs of *any* delta — additions included — so
 //!   an added edge patches only the pairs it can reach, falling back to
 //!   a rebuild only when the dirty set exceeds a configurable fraction
@@ -98,8 +97,34 @@ pub enum PendingWork {
     Rebuild,
 }
 
-/// Tunables of a delta-driven repair pass
-/// ([`SelfHealingPlane::repair_with`]).
+/// Where [`SelfHealingPlane::observe`] takes a delta's affected pairs
+/// from.
+pub enum DirtySource<'a> {
+    /// The built-in rule, from the plane's own healed walks: removed
+    /// edges dirty exactly the pairs whose walk crossed one; any added
+    /// edge dirties every pair (any route may improve).
+    Walks,
+    /// A delta oracle (typically a [`cpr_paths::DeltaTracker`] advanced
+    /// in lockstep with this plane, built over the same weights as the
+    /// live scheme) reporting the ordered pairs whose *preferred-tree
+    /// route* can change — additions included. The plane closes that set
+    /// over its forwarding walks: a pair `(s, t)` is dirtied when any
+    /// node `u` on its current healed walk owns an affected pair
+    /// `(u, t)` — hop-by-hop forwarding composes per-node trees, so
+    /// `u`'s next hop toward `t` changing re-routes every walk through
+    /// `u`. Walks that cannot be decided are conservatively dirtied.
+    Oracle(&'a mut dyn DeltaOracle),
+    /// A precomputed set, closed over the plane's walks like an
+    /// oracle's. The multi-plane reconcile computes **one** shared set
+    /// per topology delta and hands it to every class, so the caller
+    /// owns its soundness across *all* receivers: a structural endpoint
+    /// set — `(x, t)` and `(y, t)` for every removed edge `(x, y)` and
+    /// every target `t` — is safe for any algebra, while metric-specific
+    /// bounds are not.
+    Pairs(&'a DirtyPairs),
+}
+
+/// Tunables of a repair pass ([`SelfHealingPlane::repair`]).
 #[derive(Clone, Copy, Debug)]
 pub struct RepairPolicy {
     /// When the dirty set exceeds this fraction of all ordered pairs,
@@ -311,100 +336,18 @@ where
     }
 
     /// Diffs `graph` against the plane's current topology view. On any
-    /// change the topology epoch advances and the affected pairs are
-    /// marked dirty: for removed edges, exactly the pairs whose healed
-    /// walk crossed the edge; for added edges, every pair (any route may
-    /// improve). Idempotent when nothing changed.
+    /// change the topology epoch advances and the pairs `source` reports
+    /// affected are marked dirty (see [`DirtySource`]). Idempotent when
+    /// nothing changed — an oracle is only consulted on a real delta.
     ///
     /// # Errors
     ///
     /// [`CompileError::NodeCountMismatch`] when `graph` has a different
     /// node count — node-set changes are a rebuild, not a repair.
-    pub fn observe(&mut self, graph: &Graph) -> Result<StaleReport, CompileError> {
-        let n = self.base.node_count();
-        if graph.node_count() != n {
-            return Err(CompileError::NodeCountMismatch {
-                scheme: n,
-                graph: graph.node_count(),
-            });
-        }
-        let new_edges = edge_set(graph);
-        let expected_digest = self.current_digest;
-        let removed: Vec<(NodeId, NodeId)> =
-            self.current_edges.difference(&new_edges).copied().collect();
-        let added: Vec<(NodeId, NodeId)> =
-            new_edges.difference(&self.current_edges).copied().collect();
-        if removed.is_empty() && added.is_empty() {
-            // Identical edge sets mean identical digests, so the cached
-            // one serves for both sides — nothing is recomputed here.
-            return Ok(StaleReport {
-                stale: false,
-                expected_digest,
-                observed_digest: expected_digest,
-                removed_edges: removed,
-                added_edges: added,
-                dirty_pairs: self.dirty.len(),
-                pending: self.pending(),
-            });
-        }
-        self.counters.epoch += 1;
-        if !added.is_empty() {
-            // A new link can improve any pair: all dirty.
-            for s in 0..n {
-                for t in 0..n {
-                    if s != t {
-                        self.dirty.insert((s, t));
-                    }
-                }
-            }
-        } else {
-            let removed_set: BTreeSet<(NodeId, NodeId)> = removed.iter().copied().collect();
-            for s in 0..n {
-                for t in 0..n {
-                    if s == t || self.dirty.contains(&(s, t)) {
-                        continue;
-                    }
-                    if self.walk_crosses(s, t, &removed_set) {
-                        self.dirty.insert((s, t));
-                    }
-                }
-            }
-        }
-        self.current_edges = new_edges;
-        self.current_digest = graph_digest(graph);
-        Ok(StaleReport {
-            stale: true,
-            expected_digest,
-            observed_digest: self.current_digest,
-            removed_edges: removed,
-            added_edges: added,
-            dirty_pairs: self.dirty.len(),
-            pending: self.pending(),
-        })
-    }
-
-    /// [`observe`](Self::observe), with the delta's affected pairs
-    /// bounded by `oracle` instead of the conservative built-in rule —
-    /// in particular, edge *additions* no longer dirty every pair.
-    ///
-    /// The oracle (typically a [`cpr_paths::DeltaTracker`] advanced in
-    /// lockstep with this plane, built over the same weights as the live
-    /// scheme) reports the ordered pairs whose *preferred-tree route*
-    /// can change. The plane closes that set over its forwarding walks:
-    /// a pair `(s, t)` is dirtied when any node `u` on its current
-    /// healed walk owns an affected pair `(u, t)` — hop-by-hop
-    /// forwarding composes per-node trees, so `u`'s next hop toward `t`
-    /// changing re-routes every walk through `u`. Walks that cannot be
-    /// decided are conservatively dirtied.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::NodeCountMismatch`] as for
-    /// [`observe`](Self::observe).
-    pub fn observe_with(
+    pub fn observe(
         &mut self,
         graph: &Graph,
-        oracle: &mut dyn DeltaOracle,
+        source: DirtySource<'_>,
     ) -> Result<StaleReport, CompileError> {
         let n = self.base.node_count();
         if graph.node_count() != n {
@@ -419,85 +362,26 @@ where
             self.current_edges.difference(&new_edges).copied().collect();
         let added: Vec<(NodeId, NodeId)> =
             new_edges.difference(&self.current_edges).copied().collect();
-        if removed.is_empty() && added.is_empty() {
-            return Ok(StaleReport {
-                stale: false,
-                expected_digest,
-                observed_digest: expected_digest,
-                removed_edges: removed,
-                added_edges: added,
-                dirty_pairs: self.dirty.len(),
-                pending: self.pending(),
-            });
+        let stale = !(removed.is_empty() && added.is_empty());
+        if stale {
+            self.counters.epoch += 1;
+            match source {
+                DirtySource::Walks if added.is_empty() => {
+                    let removed_set: BTreeSet<(NodeId, NodeId)> = removed.iter().copied().collect();
+                    self.mark_where(|plane, s, t| plane.walk_crosses(s, t, &removed_set));
+                }
+                // A new link can improve any pair: all dirty.
+                DirtySource::Walks => self.mark_dirty(&DirtyPairs::All),
+                DirtySource::Oracle(oracle) => self.mark_dirty(&oracle.affected_pairs(graph)),
+                DirtySource::Pairs(affected) => self.mark_dirty(affected),
+            }
+            self.current_edges = new_edges;
+            self.current_digest = graph_digest(graph);
         }
-        self.counters.epoch += 1;
-        let affected = oracle.affected_pairs(graph);
-        self.mark_dirty(&affected);
-        self.current_edges = new_edges;
-        self.current_digest = graph_digest(graph);
+        // Identical edge sets mean identical digests, so when nothing
+        // moved the cached one serves for both sides.
         Ok(StaleReport {
-            stale: true,
-            expected_digest,
-            observed_digest: self.current_digest,
-            removed_edges: removed,
-            added_edges: added,
-            dirty_pairs: self.dirty.len(),
-            pending: self.pending(),
-        })
-    }
-
-    /// [`observe_with`](Self::observe_with), with the delta's affected
-    /// pairs supplied directly instead of consulted from an oracle —
-    /// the multi-plane reconcile computes **one** shared dirty set per
-    /// topology delta and distributes it to every algebra class through
-    /// this entry point, so N classes pay one delta analysis, not N.
-    ///
-    /// The caller is responsible for the set's soundness across *all*
-    /// receiving classes: `DirtyPairs::Pairs` is still closed over this
-    /// plane's own forwarding walks (per-class), so a structurally
-    /// sound endpoint set — e.g. `(x, t)` and `(y, t)` for every
-    /// removed edge `(x, y)` and every target `t` — is safe for any
-    /// algebra, while metric-specific bounds are not.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::NodeCountMismatch`] as for
-    /// [`observe`](Self::observe).
-    pub fn observe_with_dirty(
-        &mut self,
-        graph: &Graph,
-        affected: &DirtyPairs,
-    ) -> Result<StaleReport, CompileError> {
-        let n = self.base.node_count();
-        if graph.node_count() != n {
-            return Err(CompileError::NodeCountMismatch {
-                scheme: n,
-                graph: graph.node_count(),
-            });
-        }
-        let new_edges = edge_set(graph);
-        let expected_digest = self.current_digest;
-        let removed: Vec<(NodeId, NodeId)> =
-            self.current_edges.difference(&new_edges).copied().collect();
-        let added: Vec<(NodeId, NodeId)> =
-            new_edges.difference(&self.current_edges).copied().collect();
-        if removed.is_empty() && added.is_empty() {
-            return Ok(StaleReport {
-                stale: false,
-                expected_digest,
-                observed_digest: expected_digest,
-                removed_edges: removed,
-                added_edges: added,
-                dirty_pairs: self.dirty.len(),
-                pending: self.pending(),
-            });
-        }
-        self.counters.epoch += 1;
-        self.mark_dirty(affected);
-        self.current_edges = new_edges;
-        self.current_digest = graph_digest(graph);
-        Ok(StaleReport {
-            stale: true,
+            stale,
             expected_digest,
             observed_digest: self.current_digest,
             removed_edges: removed,
@@ -512,27 +396,21 @@ where
     /// pair `(s, t)` is dirtied when any node on its walk owns an
     /// affected pair toward `t`).
     fn mark_dirty(&mut self, affected: &DirtyPairs) {
-        let n = self.base.node_count();
         match affected {
-            DirtyPairs::All => {
-                for s in 0..n {
-                    for t in 0..n {
-                        if s != t {
-                            self.dirty.insert((s, t));
-                        }
-                    }
-                }
-            }
+            DirtyPairs::All => self.mark_where(|_, _, _| true),
             DirtyPairs::Pairs(affected) => {
-                for s in 0..n {
-                    for t in 0..n {
-                        if s == t || self.dirty.contains(&(s, t)) {
-                            continue;
-                        }
-                        if self.walk_touches(s, t, affected) {
-                            self.dirty.insert((s, t));
-                        }
-                    }
+                self.mark_where(|plane, s, t| plane.walk_touches(s, t, affected));
+            }
+        }
+    }
+
+    /// Dirties every ordered pair `hit` selects.
+    fn mark_where(&mut self, hit: impl Fn(&Self, NodeId, NodeId) -> bool) {
+        let n = self.base.node_count();
+        for s in 0..n {
+            for t in 0..n {
+                if s != t && hit(self, s, t) {
+                    self.dirty.insert((s, t));
                 }
             }
         }
@@ -555,7 +433,7 @@ where
     /// dirty). The walk runs over the plane's *current* (pre-delta)
     /// view, which is exactly the route whose survival is in question.
     fn walk_touches(&self, s: NodeId, t: NodeId, affected: &BTreeSet<(NodeId, NodeId)>) -> bool {
-        if affected.contains(&(s, t)) {
+        if self.dirty.contains(&(s, t)) || affected.contains(&(s, t)) {
             return true;
         }
         let Some(mut hid) = self.initial_of(s, t) else {
@@ -589,6 +467,9 @@ where
     /// Pairs that were already unroutable stay unroutable under edge
     /// removal and are not dirtied.
     fn walk_crosses(&self, s: NodeId, t: NodeId, removed: &BTreeSet<(NodeId, NodeId)>) -> bool {
+        if self.dirty.contains(&(s, t)) {
+            return true;
+        }
         let Some(mut hid) = self.initial_of(s, t) else {
             return false;
         };
@@ -644,82 +525,34 @@ where
         }
     }
 
-    /// Re-traces every dirty pair through the live `scheme` on `graph`
-    /// (which must describe the same topology passed to the latest
-    /// [`observe`](Self::observe) — `repair` re-observes first, so a
-    /// single call does both). Dirty pairs that re-trace successfully
-    /// leave the fallback path; pairs the new topology cannot route
-    /// become loudly unroutable. When every pair is dirty (edge
-    /// additions), the pass recompiles the base plane instead.
+    /// Observes `graph` through `source` (a no-op when the latest
+    /// [`observe`](Self::observe) already saw it), then re-traces every
+    /// dirty pair through the live `scheme` on `graph`. Dirty pairs that
+    /// re-trace successfully leave the fallback path; pairs the new
+    /// topology cannot route become loudly unroutable. The pass patches
+    /// only the dirty pairs and falls back to a full recompile only when
+    /// every pair is dirty or the dirty set exceeds
+    /// [`RepairPolicy::max_dirty_fraction`] (a *forced* rebuild, flagged
+    /// in [`RepairStats::forced_rebuild`] and emitted as a
+    /// `heal.rebuild.forced` event).
+    ///
+    /// The whole pass runs under a `heal.repair` span whose close event
+    /// carries the repair outcome, and the registry accumulates
+    /// `heal.repairs` / `heal.repaired_pairs` / `heal.unroutable_pairs`
+    /// counters plus a `heal.dirty_pairs` histogram of per-pass dirty-set
+    /// sizes — all logical quantities, so snapshots stay deterministic;
+    /// with [`RepairPolicy::record_budget_ms`] the pass's wall-clock
+    /// lands in a `heal.repair_budget_ms` gauge.
     ///
     /// # Errors
     ///
     /// Any [`CompileError`]: the live scheme misdelivering or looping
     /// during a re-trace aborts the repair with the pair's error.
-    pub fn repair(&mut self, scheme: &S, graph: &Graph) -> Result<RepairStats, CompileError> {
-        self.repair_obs(scheme, graph, &cpr_obs::Obs::disabled())
-    }
-
-    /// [`repair`](Self::repair), recording the pass into `obs`: the whole
-    /// pass runs under a `heal.repair` span whose close event carries the
-    /// repair outcome, and the registry accumulates
-    /// `heal.repairs` / `heal.repaired_pairs` / `heal.unroutable_pairs`
-    /// counters plus a `heal.dirty_pairs` histogram of per-pass dirty-set
-    /// sizes — all logical quantities, so snapshots stay deterministic.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`repair`](Self::repair).
-    pub fn repair_obs(
+    pub fn repair(
         &mut self,
         scheme: &S,
         graph: &Graph,
-        obs: &cpr_obs::Obs,
-    ) -> Result<RepairStats, CompileError> {
-        let span = obs.span(
-            "heal.repair",
-            &[("epoch", cpr_obs::Json::int(self.counters.epoch))],
-        );
-        let stats = self.repair_inner(scheme, graph)?;
-        record_repair_obs(&stats, &span, obs);
-        Ok(stats)
-    }
-
-    /// [`repair`](Self::repair), with the dirty set bounded by `oracle`
-    /// (via [`observe_with`](Self::observe_with)) and the patch/rebuild
-    /// choice governed by `policy`: the pass patches only the affected
-    /// pairs — edge additions included — and falls back to a full
-    /// rebuild only when every pair is dirty or the dirty set exceeds
-    /// [`RepairPolicy::max_dirty_fraction`] (a *forced* rebuild, flagged
-    /// in [`RepairStats::forced_rebuild`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`repair`](Self::repair).
-    pub fn repair_with(
-        &mut self,
-        scheme: &S,
-        graph: &Graph,
-        oracle: &mut dyn DeltaOracle,
-        policy: &RepairPolicy,
-    ) -> Result<RepairStats, CompileError> {
-        self.repair_with_obs(scheme, graph, oracle, policy, &cpr_obs::Obs::disabled())
-    }
-
-    /// [`repair_with`](Self::repair_with), recording the pass into `obs`
-    /// like [`repair_obs`](Self::repair_obs). A threshold-forced rebuild
-    /// additionally emits a `heal.rebuild.forced` event, and when
-    /// [`RepairPolicy::record_budget_ms`] is set the pass's wall-clock
-    /// lands in a `heal.repair_budget_ms` gauge.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`repair`](Self::repair).
-    pub fn repair_with_obs(
-        &mut self,
-        scheme: &S,
-        graph: &Graph,
-        oracle: &mut dyn DeltaOracle,
+        source: DirtySource<'_>,
         policy: &RepairPolicy,
         obs: &cpr_obs::Obs,
     ) -> Result<RepairStats, CompileError> {
@@ -728,45 +561,7 @@ where
             "heal.repair",
             &[("epoch", cpr_obs::Json::int(self.counters.epoch))],
         );
-        self.observe_with(graph, oracle)?;
-        self.repair_marked(scheme, graph, policy, obs, start, &span)
-    }
-
-    /// [`repair_with_obs`](Self::repair_with_obs) without the observe
-    /// step: repairs from the dirty set already accumulated by a prior
-    /// [`observe_with_dirty`](Self::observe_with_dirty) (or
-    /// [`observe`](Self::observe)) call. The patch/rebuild choice and
-    /// obs wiring are identical to `repair_with_obs`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`repair`](Self::repair).
-    pub fn repair_observed(
-        &mut self,
-        scheme: &S,
-        graph: &Graph,
-        policy: &RepairPolicy,
-        obs: &cpr_obs::Obs,
-    ) -> Result<RepairStats, CompileError> {
-        let start = Instant::now();
-        let span = obs.span(
-            "heal.repair",
-            &[("epoch", cpr_obs::Json::int(self.counters.epoch))],
-        );
-        self.repair_marked(scheme, graph, policy, obs, start, &span)
-    }
-
-    /// The shared post-observe repair tail: forced-rebuild check, the
-    /// patch-vs-rebuild decision, and obs recording.
-    fn repair_marked(
-        &mut self,
-        scheme: &S,
-        graph: &Graph,
-        policy: &RepairPolicy,
-        obs: &cpr_obs::Obs,
-        start: Instant,
-        span: &cpr_obs::Span<'_>,
-    ) -> Result<RepairStats, CompileError> {
+        self.observe(graph, source)?;
         let n = self.base.node_count();
         let all_pairs = n * n - n;
         let forced = n > 1
@@ -786,23 +581,33 @@ where
         } else {
             self.patch_dirty(scheme, graph)?
         };
-        record_repair_obs(&stats, span, obs);
+        record_repair_obs(&stats, &span, obs);
         if policy.record_budget_ms {
             obs.set_gauge("heal.repair_budget_ms", start.elapsed().as_millis() as i64);
         }
         Ok(stats)
     }
 
-    fn repair_inner(&mut self, scheme: &S, graph: &Graph) -> Result<RepairStats, CompileError> {
-        self.observe(graph)?;
-        let n = self.base.node_count();
-        if self.dirty.len() == n * n - n && n > 1 {
-            // Everything is dirty: a fresh compile is the same work with
-            // better layout, and it resets the patch layer entirely.
-            self.rebuild(scheme, graph, false)
-        } else {
-            self.patch_dirty(scheme, graph)
-        }
+    /// [`repair`](Self::repair) with the dirty set bounded by `oracle`
+    /// and nothing recorded.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`repair`](Self::repair).
+    pub fn repair_with(
+        &mut self,
+        scheme: &S,
+        graph: &Graph,
+        oracle: &mut dyn DeltaOracle,
+        policy: &RepairPolicy,
+    ) -> Result<RepairStats, CompileError> {
+        self.repair(
+            scheme,
+            graph,
+            DirtySource::Oracle(oracle),
+            policy,
+            &cpr_obs::Obs::disabled(),
+        )
     }
 
     /// Recompiles the base plane from scratch, preserving the cumulative
@@ -1010,23 +815,13 @@ where
     /// Serves a batch through [`route`](Self::route), producing a
     /// [`ServeReport`] whose `degraded` / `fallback` counters are
     /// filled in (a plain [`serve`](crate::engine::serve) always
-    /// reports them as zero).
-    pub fn serve(
-        &mut self,
-        scheme: &S,
-        graph: &Graph,
-        queries: &[(NodeId, NodeId)],
-    ) -> ServeReport {
-        self.serve_obs(scheme, graph, queries, &cpr_obs::Obs::disabled())
-    }
-
-    /// [`serve`](Self::serve), recording the batch into `obs`: a
+    /// reports them as zero). The batch is recorded into `obs`: a
     /// `heal.serve.hops` latency histogram over delivered queries,
     /// `heal.serve.*` counters split by how each query was answered
     /// (compiled / degraded / fallback / failed), a mirror of the
     /// cumulative [`HealthCounters`] as `heal.health.*` gauges, and a
     /// trace event carrying the batch's wall-clock time (tracer only).
-    pub fn serve_obs(
+    pub fn serve(
         &mut self,
         scheme: &S,
         graph: &Graph,

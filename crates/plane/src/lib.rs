@@ -27,9 +27,9 @@
 //!   while repairs are pending — a stale plane degrades loudly, it
 //!   never forwards onto a dead link.
 //! * [`multi`] serves *many* policy classes from one process over one
-//!   shared substrate: `Arc`-deduped initial/adjacency tables, one
-//!   [`HopMatrix`](cpr_paths::HopMatrix), and one shared dirty set per
-//!   topology delta repairing every class ([`MultiPlane`]).
+//!   shared substrate: `Arc`-deduped initial/adjacency tables and one
+//!   shared dirty set per topology delta repairing every class
+//!   ([`MultiPlane`]).
 //!
 //! ```
 //! use cpr_algebra::policies::ShortestPath;
@@ -72,7 +72,8 @@ pub use engine::{
     ServeReport, StaticCore, StretchStats,
 };
 pub use heal::{
-    HealthCounters, PendingWork, RepairPolicy, RepairStats, SelfHealingPlane, Served, StaleReport,
+    DirtySource, HealthCounters, PendingWork, RepairPolicy, RepairStats, SelfHealingPlane, Served,
+    StaleReport,
 };
 pub use multi::{
     ClassMemory, ClassPlane, ClassRegistration, MultiBuilder, MultiMemory, MultiPlane,

@@ -13,11 +13,9 @@
 //!   compilation a dedupe pass aliases content-identical tables across
 //!   classes, so e.g. all eight Table 1 destination-table classes carry
 //!   **one** initial table and **one** adjacency snapshot between them;
-//! * one [`HopMatrix`] serves every class (hop optima depend on the
-//!   topology, not the algebra);
 //! * one topology delta produces **one** shared dirty set
-//!   ([`SelfHealingPlane::observe_with_dirty`]) distributed to every
-//!   class — N classes pay one delta analysis per churn event, not N.
+//!   ([`DirtySource::Pairs`]) distributed to every class — N classes
+//!   pay one delta analysis per churn event, not N.
 //!
 //! [`MultiMemory`] reports the honest bit accounting both ways —
 //! substrate counted once ([`MultiMemory::multi_total_bits`]) vs. the
@@ -33,20 +31,24 @@
 //! makes an unroutable pair routable). Any edge *addition* falls back to
 //! [`DirtyPairs::All`]: addition bounds are metric-specific
 //! (`cpr_paths::DeltaTracker` reasons about one algebra's via-weights)
-//! and unsound to share across classes.
+//! and unsound to share across classes. A class that wants additions
+//! patched instead registers its **own** [`DeltaOracle`]
+//! ([`MultiBuilder::with_oracle`]): the master keeps it beside the
+//! class and consults it in place of the shared set, for that class
+//! only.
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 use cpr_graph::{Graph, NodeId};
-use cpr_paths::{DirtyPairs, HopMatrix};
+use cpr_paths::{DeltaOracle, DirtyPairs};
 use cpr_routing::{RouteError, RoutingScheme};
 
 use crate::compile::{graph_digest, CompileError, ForwardingPlane};
 use crate::engine::StaticCore;
 use crate::heal::{
-    HealthCounters, RepairPolicy, RepairStats, SelfHealingPlane, Served, StaleReport,
+    DirtySource, HealthCounters, RepairPolicy, RepairStats, SelfHealingPlane, Served,
 };
 use crate::tenant::{build_tenant_class, TenantClass, TenantError, MAX_CLASSES};
 
@@ -79,28 +81,18 @@ pub trait ClassPlane: Send + Sync {
         target: NodeId,
     ) -> Result<(Vec<NodeId>, Served), RouteError>;
 
-    /// Folds a precomputed shared dirty set into this class's healing
-    /// state and — when the topology actually moved — rebuilds the live
-    /// scheme from the factory for the new graph.
+    /// Rebuilds the live scheme from the factory for `graph`, folds the
+    /// delta into this class's healing state through `source`, and
+    /// repairs the dirty pairs. [`MultiPlane::reconcile`] calls this
+    /// only on a real delta over an unchanged node set.
     ///
     /// # Errors
     ///
-    /// Same as [`SelfHealingPlane::observe_with_dirty`].
-    fn observe_dirty(
-        &mut self,
-        graph: &Graph,
-        affected: &DirtyPairs,
-    ) -> Result<StaleReport, CompileError>;
-
-    /// Repairs from the dirty set accumulated by
-    /// [`observe_dirty`](Self::observe_dirty).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SelfHealingPlane::repair_observed`].
+    /// Same as [`SelfHealingPlane::repair`].
     fn repair(
         &mut self,
         graph: &Graph,
+        source: DirtySource<'_>,
         policy: &RepairPolicy,
         obs: &cpr_obs::Obs,
     ) -> Result<RepairStats, CompileError>;
@@ -204,28 +196,18 @@ where
         self.healing.lookup(&self.scheme, graph, source, target)
     }
 
-    fn observe_dirty(
-        &mut self,
-        graph: &Graph,
-        affected: &DirtyPairs,
-    ) -> Result<StaleReport, CompileError> {
-        let report = self.healing.observe_with_dirty(graph, affected)?;
-        if report.stale {
-            // The live scheme must match the topology it falls back to
-            // and re-traces dirty pairs against.
-            self.scheme = (self.factory)(graph);
-        }
-        Ok(report)
-    }
-
     fn repair(
         &mut self,
         graph: &Graph,
+        source: DirtySource<'_>,
         policy: &RepairPolicy,
         obs: &cpr_obs::Obs,
     ) -> Result<RepairStats, CompileError> {
+        // The live scheme must match the topology the pass falls back
+        // to and re-traces dirty pairs against.
+        self.scheme = (self.factory)(graph);
         self.healing
-            .repair_observed(&self.scheme, graph, policy, obs)
+            .repair(&self.scheme, graph, source, policy, obs)
     }
 
     fn dirty_pairs(&self) -> usize {
@@ -269,12 +251,16 @@ where
     }
 }
 
+/// A class's own delta oracle; see [`MultiBuilder::with_oracle`].
+type ClassOracle = Box<dyn DeltaOracle + Send>;
+
+type ClassFactory = Box<dyn FnOnce(&Graph) -> Result<Box<dyn ClassPlane>, CompileError>>;
+
 /// Deferred class registrations for [`MultiPlane::build`]: each entry
 /// compiles one class against the graph handed to `build`.
 #[derive(Default)]
 pub struct MultiBuilder {
-    #[allow(clippy::type_complexity)]
-    factories: Vec<Box<dyn FnOnce(&Graph) -> Result<Box<dyn ClassPlane>, CompileError>>>,
+    factories: Vec<(ClassFactory, Option<ClassOracle>)>,
 }
 
 impl MultiBuilder {
@@ -297,9 +283,31 @@ impl MultiBuilder {
         S::Header: Send + Sync,
     {
         let name = name.into();
-        self.factories.push(Box::new(move |graph| {
+        let compile: ClassFactory = Box::new(move |graph| {
             Ok(Box::new(TypedClassPlane::new(name, graph, factory)?) as Box<dyn ClassPlane>)
-        }));
+        });
+        self.factories.push((compile, None));
+        self
+    }
+
+    /// Gives the most recently registered class its own delta oracle:
+    /// every [`MultiPlane::reconcile`] consults it (as
+    /// [`DirtySource::Oracle`]) instead of handing that class the shared
+    /// structural set, so an edge *addition* patches the pairs it can
+    /// reach instead of rebuilding the class. The oracle must already
+    /// view the graph later handed to [`MultiPlane::build`] and track
+    /// the preference the class's factory routes by. It is master-only
+    /// state: snapshots never see it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no class has been registered yet.
+    pub fn with_oracle(mut self, oracle: impl DeltaOracle + Send + 'static) -> Self {
+        let (_, slot) = self
+            .factories
+            .last_mut()
+            .expect("with_oracle follows a class registration");
+        *slot = Some(Box::new(oracle));
         self
     }
 
@@ -321,10 +329,12 @@ impl MultiBuilder {
 /// readers of other classes cannot be renumbered underneath.
 enum Slot {
     /// A serving class; `dynamic` marks runtime registrations (the only
-    /// ones that may be deregistered).
+    /// ones that may be deregistered), `oracle` is the class's own
+    /// delta oracle when it registered one.
     Live {
         plane: Box<dyn ClassPlane>,
         dynamic: bool,
+        oracle: Option<ClassOracle>,
     },
     /// A deregistered runtime class, index held in reserve.
     Retired { name: String },
@@ -380,7 +390,9 @@ pub struct MultiRepairReport {
     pub added_edges: usize,
     /// `"none"` (no delta), `"pairs"` (structural endpoint set) or
     /// `"all"` (additions present — every pair dirty, metric-specific
-    /// addition bounds are unsound to share across algebras).
+    /// addition bounds are unsound to share across algebras). Describes
+    /// the *shared* set; a class with its own oracle is bounded by that
+    /// instead, as its [`RepairStats`] show.
     pub strategy: &'static str,
     /// Ordered pairs in the shared dirty set (`n·(n−1)` under `"all"`).
     pub shared_dirty_pairs: usize,
@@ -414,19 +426,17 @@ pub struct MultiMemory {
     pub classes: usize,
     /// Node count.
     pub nodes: usize,
-    /// Total bits of the multi plane: every class's transition arrays,
-    /// each **distinct** initial-table / adjacency allocation counted
-    /// once, plus one shared [`HopMatrix`].
+    /// Total bits of the multi plane: every class's transition arrays
+    /// plus each **distinct** initial-table / adjacency allocation
+    /// counted once.
     pub multi_total_bits: u64,
     /// What the same classes would cost as independent single-class
-    /// processes: per-class plane totals plus a [`HopMatrix`] each.
+    /// processes: the sum of per-class plane totals.
     pub independent_total_bits: u64,
     /// Distinct initial-header-table allocations across classes.
     pub distinct_initial_tables: usize,
     /// Distinct CSR adjacency allocations across classes.
     pub distinct_adjacency_tables: usize,
-    /// Bits of the one shared hop matrix.
-    pub hop_matrix_bits: u64,
     /// Per-class breakdown, in class order.
     pub per_class: Vec<ClassMemory>,
 }
@@ -597,32 +607,30 @@ impl MultiSnapshot {
 pub struct MultiPlane {
     graph: Graph,
     digest: u64,
-    hops: Arc<HopMatrix>,
     classes: Vec<Slot>,
     epoch: u64,
 }
 
 impl MultiPlane {
-    /// Compiles every registered class over `graph`, dedupes the
-    /// substrate allocations across classes and computes the one shared
-    /// hop matrix.
+    /// Compiles every registered class over `graph` and dedupes the
+    /// substrate allocations across classes.
     ///
     /// # Errors
     ///
     /// The first [`CompileError`] of any class compile.
     pub fn build(graph: &Graph, builder: MultiBuilder) -> Result<Self, CompileError> {
         let mut classes = Vec::with_capacity(builder.factories.len());
-        for f in builder.factories {
+        for (compile, oracle) in builder.factories {
             classes.push(Slot::Live {
-                plane: f(graph)?,
+                plane: compile(graph)?,
                 dynamic: false,
+                oracle,
             });
         }
         dedupe_substrate(&mut classes);
         Ok(MultiPlane {
             graph: graph.clone(),
             digest: graph_digest(graph),
-            hops: Arc::new(HopMatrix::compute(graph)),
             classes,
             epoch: 0,
         })
@@ -643,11 +651,6 @@ impl MultiPlane {
     /// event a serving snapshot must be re-taken for.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The shared hop matrix (BFS optima of the served topology).
-    pub fn hops(&self) -> &Arc<HopMatrix> {
-        &self.hops
     }
 
     /// Traffic-class slots, live **and** retired — the range of valid
@@ -730,19 +733,18 @@ impl MultiPlane {
             scheme,
             ..
         } = build_tenant_class(name, text, &self.graph)?;
+        let live = Slot::Live {
+            plane,
+            dynamic: true,
+            oracle: None,
+        };
         let class = match slot {
             Some(i) => {
-                self.classes[i] = Slot::Live {
-                    plane,
-                    dynamic: true,
-                };
+                self.classes[i] = live;
                 i
             }
             None => {
-                self.classes.push(Slot::Live {
-                    plane,
-                    dynamic: true,
-                });
+                self.classes.push(live);
                 self.classes.len() - 1
             }
         };
@@ -806,13 +808,16 @@ impl MultiPlane {
     /// Diffs `graph` against the served topology and, on any change,
     /// repairs **every** class from one shared dirty set: removals
     /// produce the structural endpoint set (sound for any algebra),
-    /// additions force [`DirtyPairs::All`]. After the per-class repairs
-    /// the substrate is re-deduped (a rebuild re-allocates a class's
-    /// tables) and the shared hop matrix is recomputed once.
+    /// additions force [`DirtyPairs::All`]. A class that registered its
+    /// own oracle ([`MultiBuilder::with_oracle`]) is bounded by it
+    /// instead. After the per-class repairs the substrate is re-deduped
+    /// (a rebuild re-allocates a class's tables).
     ///
     /// # Errors
     ///
-    /// The first [`CompileError`] of any class's observe or repair.
+    /// [`CompileError::NodeCountMismatch`] when the node set changed
+    /// (a rebuild, not a repair); otherwise the first [`CompileError`]
+    /// of any class's repair.
     pub fn reconcile(
         &mut self,
         graph: &Graph,
@@ -820,6 +825,12 @@ impl MultiPlane {
         obs: &cpr_obs::Obs,
     ) -> Result<MultiRepairReport, CompileError> {
         let n = self.graph.node_count();
+        if graph.node_count() != n {
+            return Err(CompileError::NodeCountMismatch {
+                scheme: n,
+                graph: graph.node_count(),
+            });
+        }
         let old_edges: BTreeSet<(NodeId, NodeId)> = self
             .graph
             .edges()
@@ -831,7 +842,7 @@ impl MultiPlane {
             .collect();
         let removed: Vec<(NodeId, NodeId)> = old_edges.difference(&new_edges).copied().collect();
         let added: Vec<(NodeId, NodeId)> = new_edges.difference(&old_edges).copied().collect();
-        if removed.is_empty() && added.is_empty() && graph.node_count() == n {
+        if removed.is_empty() && added.is_empty() {
             return Ok(MultiRepairReport {
                 epoch: self.epoch,
                 removed_edges: 0,
@@ -863,17 +874,19 @@ impl MultiPlane {
         };
         let mut class_stats = Vec::with_capacity(self.classes.len());
         for slot in &mut self.classes {
-            let Some(class) = slot.live_box_mut() else {
+            let Slot::Live { plane, oracle, .. } = slot else {
                 continue;
             };
-            class.observe_dirty(graph, &dirty)?;
-            let stats = class.repair(graph, policy, obs)?;
-            class_stats.push((class.class_name().to_string(), stats));
+            let source = match oracle {
+                Some(oracle) => DirtySource::Oracle(oracle.as_mut()),
+                None => DirtySource::Pairs(&dirty),
+            };
+            let stats = plane.repair(graph, source, policy, obs)?;
+            class_stats.push((plane.class_name().to_string(), stats));
         }
         dedupe_substrate(&mut self.classes);
         self.graph = graph.clone();
         self.digest = graph_digest(graph);
-        self.hops = Arc::new(HopMatrix::compute(graph));
         self.epoch += 1;
         obs.event(
             "multi.reconcile",
@@ -900,7 +913,8 @@ impl MultiPlane {
 
     /// Clones every class into an immutable [`MultiSnapshot`], attaching
     /// a zero-alloc [`StaticCore`] to each class whose base plane is
-    /// pristine for the current topology.
+    /// pristine for the current topology. Class oracles stay behind:
+    /// a snapshot never reconciles.
     pub fn snapshot(&self) -> MultiSnapshot {
         MultiSnapshot {
             epoch: self.epoch,
@@ -922,16 +936,15 @@ impl MultiPlane {
 
     /// The shared-substrate bit accounting; see [`MultiMemory`].
     pub fn memory(&self) -> MultiMemory {
-        let hop_matrix_bits = self.hops.bytes() as u64 * 8;
         let mut seen_initial = BTreeSet::new();
         let mut seen_adjacency = BTreeSet::new();
-        let mut multi_total_bits = hop_matrix_bits;
+        let mut multi_total_bits = 0u64;
         let mut independent_total_bits = 0u64;
         let mut per_class = Vec::with_capacity(self.classes.len());
         for class in self.classes.iter().filter_map(|s| s.live()) {
             let base = class.base();
             let mem = base.memory();
-            independent_total_bits += mem.total_bits() + hop_matrix_bits;
+            independent_total_bits += mem.total_bits();
             multi_total_bits += mem.transition_bits;
             let (initial_ptr, row_ptr, nbr_ptr) = base.substrate_ptrs();
             let initial_new = seen_initial.insert(initial_ptr);
@@ -957,7 +970,6 @@ impl MultiPlane {
             independent_total_bits,
             distinct_initial_tables: seen_initial.len(),
             distinct_adjacency_tables: seen_adjacency.len(),
-            hop_matrix_bits,
             per_class,
         }
     }

@@ -1,15 +1,19 @@
 //! True incremental repair: edge additions no longer force a full
 //! rebuild. A [`DeltaTracker`] bounds the affected pairs of any delta,
-//! [`SelfHealingPlane::observe_with`] closes that set over the plane's
+//! [`SelfHealingPlane::observe`] closes that set over the plane's
 //! forwarding walks, and [`SelfHealingPlane::repair_with`] patches only
 //! the dirty pairs — these tests pin that the patched plane's routes are
 //! identical to a from-scratch compile's after every delta, with
 //! `full_rebuilds == 0` on additions-only storms, across the adversarial
-//! sequences (add→remove-same→add-again, crash→restore→add).
+//! sequences (add→remove-same→add-again, crash→restore→add), and that a
+//! [`MultiPlane`] class registered with its own tracker keeps the
+//! property while its oracle-less neighbour rebuilds.
 
 use cpr_algebra::policies::ShortestPath;
 use cpr_graph::{generators, EdgeWeights, Graph, NodeId};
-use cpr_plane::{DeltaTracker, RepairPolicy, SelfHealingPlane};
+use cpr_plane::{
+    DeltaTracker, MultiBuilder, MultiPlane, MultiSnapshot, RepairPolicy, SelfHealingPlane,
+};
 use cpr_routing::DestTable;
 use rand::SeedableRng;
 
@@ -254,4 +258,103 @@ fn exceeding_dirty_fraction_forces_a_loud_rebuild() {
             );
         }
     }
+}
+
+/// The per-class oracle seam of [`MultiPlane`]: two classes routing the
+/// same algebra over the same additions-containing event list, one
+/// registered with a [`DeltaTracker`], one without. Additions patch the
+/// tracked class and rebuild the untracked one; both answer like a
+/// fresh compile after every event; and a snapshot serves with the
+/// oracle left behind in the master.
+#[test]
+fn multi_plane_patches_additions_only_for_the_class_with_an_oracle() {
+    const TRACKED: usize = 0;
+    const UNTRACKED: usize = 1;
+
+    fn assert_both_match_fresh(
+        lookup: impl Fn(usize, NodeId, NodeId) -> Option<Vec<NodeId>>,
+        graph: &Graph,
+    ) {
+        let scheme = scheme_of(graph);
+        let fresh = SelfHealingPlane::new(&scheme, graph).unwrap();
+        for s in graph.nodes() {
+            for t in graph.nodes().filter(|&t| t != s) {
+                let want = fresh.lookup(&scheme, graph, s, t).ok().map(|(p, _)| p);
+                for class in [TRACKED, UNTRACKED] {
+                    assert_eq!(
+                        lookup(class, s, t),
+                        want,
+                        "class {class}, pair {s} → {t} diverges from a fresh compile"
+                    );
+                }
+            }
+        }
+    }
+    let master_lookup =
+        |m: &MultiPlane, c, s, t| m.lookup(c, s, t).ok().map(|(p, _): (Vec<NodeId>, _)| p);
+    let snap_lookup =
+        |m: &MultiSnapshot, c, s, t| m.lookup(c, s, t).ok().map(|(p, _): (Vec<NodeId>, _)| p);
+
+    let mut r = rand::rngs::StdRng::seed_from_u64(0x0AC1E);
+    let base = generators::barabasi_albert(40, 2, &mut r);
+    let registry = MultiBuilder::new()
+        .class("tracked", scheme_of)
+        .with_oracle(tracker_of(&base))
+        .class("untracked", scheme_of);
+    let mut multi = MultiPlane::build(&base, registry).unwrap();
+    // Never force: a rebuild below must mean "every pair was dirty".
+    let policy = RepairPolicy {
+        max_dirty_fraction: 1.0,
+        ..RepairPolicy::default()
+    };
+    let obs = cpr_obs::Obs::disabled();
+
+    let additions = first_non_edges(&base, 3);
+    let grown = with_extra_edges(&base, &additions[..1]);
+    let (a, b) = grown
+        .edges()
+        .map(|(_, uv)| uv)
+        .find(|&(a, b)| grown.degree(a) > 1 && grown.degree(b) > 1)
+        .expect("some edge has no leaf endpoint");
+    let pruned = Graph::from_edges(
+        grown.node_count(),
+        grown.edges().map(|(_, uv)| uv).filter(|&uv| uv != (a, b)),
+    )
+    .unwrap();
+    let regrown = with_extra_edges(&pruned, &additions[1..2]);
+
+    for (label, g, adds) in [
+        ("add", &grown, true),
+        ("remove", &pruned, false),
+        ("add again", &regrown, true),
+    ] {
+        let report = multi.reconcile(g, &policy, &obs).unwrap();
+        assert_eq!(report.added_edges > 0, adds, "{label}: event list drifted");
+        let (tracked, untracked) = (
+            &report.class_stats[TRACKED].1,
+            &report.class_stats[UNTRACKED].1,
+        );
+        assert!(!tracked.full_rebuild, "{label}: the tracked class rebuilt");
+        assert_eq!(
+            untracked.full_rebuild, adds,
+            "{label}: an oracle-less class rebuilds on additions and only then"
+        );
+        assert_both_match_fresh(|c, s, t| master_lookup(&multi, c, s, t), g);
+    }
+    let tracked = multi.classes().next().unwrap();
+    assert!(
+        tracked.patch_entries() > 0,
+        "additions must land as patches"
+    );
+    assert_eq!(tracked.counters().full_rebuilds, 0);
+
+    // A snapshot serves the topology it was taken on; the oracle stays
+    // with the master, which keeps patching additions in lockstep.
+    let snapshot = multi.snapshot();
+    let last = with_extra_edges(&regrown, &additions[2..]);
+    let report = multi.reconcile(&last, &policy, &obs).unwrap();
+    assert!(!report.class_stats[TRACKED].1.full_rebuild);
+    assert!(report.class_stats[UNTRACKED].1.full_rebuild);
+    assert_both_match_fresh(|c, s, t| master_lookup(&multi, c, s, t), &last);
+    assert_both_match_fresh(|c, s, t| snap_lookup(&snapshot, c, s, t), &regrown);
 }

@@ -10,12 +10,31 @@ use std::collections::BTreeSet;
 
 use cpr_algebra::policies::ShortestPath;
 use cpr_graph::{traversal, EdgeWeights, Graph, NodeId};
-use cpr_plane::{CompileError, SelfHealingPlane, Served};
+use cpr_obs::Obs;
+use cpr_plane::{CompileError, DirtySource, RepairPolicy, RepairStats, SelfHealingPlane, Served};
 use cpr_routing::DestTable;
 use rand::SeedableRng;
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
+}
+
+/// One repair pass under the plane's built-in dirty rule, rebuilding
+/// only when every pair is dirty (never threshold-forced).
+fn repair(healing: &mut SelfHealingPlane<DestTable>, scheme: &DestTable, g: &Graph) -> RepairStats {
+    let never_forced = RepairPolicy {
+        max_dirty_fraction: 1.0,
+        ..RepairPolicy::default()
+    };
+    healing
+        .repair(
+            scheme,
+            g,
+            DirtySource::Walks,
+            &never_forced,
+            &Obs::disabled(),
+        )
+        .unwrap()
 }
 
 /// `g` minus the undirected edge `(a, b)`, with surviving weights carried
@@ -108,7 +127,7 @@ fn failed_link_is_detected_repaired_and_reagrees_with_live() {
 
     // Drift is detectable both via the digest and via observe().
     assert!(!healing.base().is_current_for(&g2));
-    let stale = healing.observe(&g2).unwrap();
+    let stale = healing.observe(&g2, DirtySource::Walks).unwrap();
     assert!(stale.stale);
     assert_eq!(stale.removed_edges, vec![(a.min(b), a.max(b))]);
     assert!(stale.added_edges.is_empty());
@@ -140,7 +159,7 @@ fn failed_link_is_detected_repaired_and_reagrees_with_live() {
     assert_eq!(fallbacks, stale.dirty_pairs);
 
     // Repair re-traces exactly the dirty pairs, incrementally.
-    let stats = healing.repair(&scheme2, &g2).unwrap();
+    let stats = repair(&mut healing, &scheme2, &g2);
     assert!(!stats.full_rebuild);
     assert_eq!(stats.dirty_pairs, stale.dirty_pairs);
     assert_eq!(stats.repaired_pairs, stale.dirty_pairs);
@@ -165,7 +184,7 @@ fn failed_link_is_detected_repaired_and_reagrees_with_live() {
         .nodes()
         .flat_map(|s| g2.nodes().filter(move |&t| t != s).map(move |t| (s, t)))
         .collect();
-    let report = healing.serve(&scheme2, &g2, &queries);
+    let report = healing.serve(&scheme2, &g2, &queries, &Obs::disabled());
     assert_eq!(report.delivered, queries.len());
     assert!(report.failures.is_empty());
     assert_eq!(report.fallback, 0, "nothing is dirty after repair");
@@ -186,12 +205,12 @@ fn added_link_degenerates_to_full_rebuild() {
     let w2 = EdgeWeights::uniform(&g2, 1u64);
     let scheme2 = DestTable::build(&g2, &w2, &ShortestPath);
 
-    let stale = healing.observe(&g2).unwrap();
+    let stale = healing.observe(&g2, DirtySource::Walks).unwrap();
     assert!(stale.stale);
     assert_eq!(stale.added_edges, vec![(0, 5)]);
     assert_eq!(stale.dirty_pairs, 6 * 5, "a new link dirties every pair");
 
-    let stats = healing.repair(&scheme2, &g2).unwrap();
+    let stats = repair(&mut healing, &scheme2, &g2);
     assert!(stats.full_rebuild);
     assert_eq!(stats.repaired_pairs, 6 * 5);
     assert!(healing.is_fresh_for(&g2));
@@ -209,7 +228,7 @@ fn node_count_change_is_a_loud_error_not_a_repair() {
     let mut healing = SelfHealingPlane::new(&scheme, &g).unwrap();
 
     let bigger = cpr_graph::generators::path(5);
-    let err = healing.observe(&bigger).unwrap_err();
+    let err = healing.observe(&bigger, DirtySource::Walks).unwrap_err();
     assert_eq!(
         err,
         CompileError::NodeCountMismatch {
@@ -233,7 +252,7 @@ fn crash_restore_crash_leaves_no_stale_patch_entries() {
     let scheme2 = DestTable::build(&g2, &w2, &ShortestPath);
 
     // Crash #1: the link fails and the plane heals incrementally.
-    let stats1 = healing.repair(&scheme2, &g2).unwrap();
+    let stats1 = repair(&mut healing, &scheme2, &g2);
     assert!(!stats1.full_rebuild);
     assert!(stats1.patched_states > 0);
     let first_entries = healing.patch_entries();
@@ -243,7 +262,7 @@ fn crash_restore_crash_leaves_no_stale_patch_entries() {
     // Restore: the link comes back. An added edge dirties every pair, so
     // the repair degenerates to a rebuild — which must wipe the patch
     // layer, not leave crash #1's overrides shadowing the fresh base.
-    let restore = healing.repair(&scheme, &g).unwrap();
+    let restore = repair(&mut healing, &scheme, &g);
     assert!(restore.full_rebuild);
     assert_eq!(restore.patched_states, 0);
     assert_eq!(
@@ -258,7 +277,7 @@ fn crash_restore_crash_leaves_no_stale_patch_entries() {
     // Crash #2 — the same link again. The rebuilt plane must heal
     // exactly as the original did: identical dirty set and an identical
     // patch layer, with nothing accumulated across the cycle.
-    let stats2 = healing.repair(&scheme2, &g2).unwrap();
+    let stats2 = repair(&mut healing, &scheme2, &g2);
     assert!(!stats2.full_rebuild);
     assert_eq!(stats2.dirty_pairs, stats1.dirty_pairs);
     assert_eq!(stats2.repaired_pairs, stats1.repaired_pairs);

@@ -2,95 +2,21 @@
 //! atomically swappable cell.
 //!
 //! The serving path never takes a lock for longer than one pointer
-//! clone. A [`PlaneEpoch`] bundles everything a lookup needs — the
-//! topology, the live scheme (for dirty-pair fallback, which a
+//! clone. A [`MultiSnapshot`](cpr_plane::MultiSnapshot) bundles
+//! everything a lookup needs — the topology and every class's repaired
+//! plane with its live scheme (for dirty-pair fallback, which a
 //! *published* snapshot never exercises because swaps only publish
-//! repaired planes), and a [`SelfHealingPlane`] snapshot — into one
-//! immutable value. An [`EpochCell`] holds the current snapshot behind
-//! `RwLock<Arc<_>>`: readers clone the `Arc` out (an uncontended read
-//! lock held for nanoseconds), the control plane swaps in a new `Arc`
-//! after repairing off-path. In-flight queries keep the old epoch alive
-//! through their own `Arc` and finish against a consistent topology;
-//! new queries see the new epoch — nothing is dropped, and every answer
-//! carries the epoch it was computed against so clients can prove
-//! they were never served a stale-topology answer.
+//! repaired planes) — into one immutable value. An [`EpochCell`] holds
+//! the current snapshot behind `RwLock<Arc<_>>`: readers clone the
+//! `Arc` out (an uncontended read lock held for nanoseconds), the
+//! control plane swaps in a new `Arc` after repairing off-path.
+//! In-flight queries keep the old epoch alive through their own `Arc`
+//! and finish against a consistent topology; new queries see the new
+//! epoch — nothing is dropped, and every answer carries the epoch it
+//! was computed against so clients can prove they were never served a
+//! stale-topology answer.
 
 use std::sync::{Arc, PoisonError, RwLock};
-
-use cpr_graph::{Graph, NodeId};
-use cpr_plane::{SelfHealingPlane, Served};
-use cpr_routing::{RouteError, RoutingScheme};
-
-/// One immutable serving snapshot: a repaired plane pinned to the
-/// topology (and live scheme) it was repaired against.
-pub struct PlaneEpoch<S: RoutingScheme> {
-    epoch: u64,
-    digest: u64,
-    graph: Graph,
-    scheme: S,
-    plane: SelfHealingPlane<S>,
-}
-
-impl<S> PlaneEpoch<S>
-where
-    S: RoutingScheme + Sync,
-    S::Header: Send,
-{
-    /// Pins `plane` (typically a clone of the control plane's master)
-    /// to the `scheme` and `graph` it currently serves. The snapshot's
-    /// epoch and digest are read off the plane's cheap accessors.
-    pub fn new(scheme: S, graph: Graph, plane: SelfHealingPlane<S>) -> Self {
-        PlaneEpoch {
-            epoch: plane.epoch(),
-            digest: plane.digest(),
-            graph,
-            scheme,
-            plane,
-        }
-    }
-
-    /// The topology epoch this snapshot serves.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The [`graph_digest`](cpr_plane::graph_digest) of the topology
-    /// this snapshot serves.
-    pub fn digest(&self) -> u64 {
-        self.digest
-    }
-
-    /// The topology this snapshot serves.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The wrapped plane snapshot.
-    pub fn plane(&self) -> &SelfHealingPlane<S> {
-        &self.plane
-    }
-
-    /// `true` when no pair awaits repair. Published snapshots are
-    /// always fresh — [`reconcile`](crate::RouteService::reconcile)
-    /// repairs before it swaps.
-    pub fn is_fresh(&self) -> bool {
-        self.plane.dirty_pairs() == 0
-    }
-
-    /// Routes one pair against this snapshot's topology. Read-only and
-    /// lock-free; safe to call from any number of serving threads.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SelfHealingPlane::lookup`].
-    pub fn lookup(
-        &self,
-        source: NodeId,
-        target: NodeId,
-    ) -> Result<(Vec<NodeId>, Served), RouteError> {
-        self.plane.lookup(&self.scheme, &self.graph, source, target)
-    }
-}
 
 /// An atomically swappable `Arc` slot — the RCU pivot of the hot swap.
 ///

@@ -6,16 +6,19 @@
 //! daemon speaking a small length-prefixed binary protocol ([`proto`]) —
 //! and keeps it *honest under churn* with an RCU-style epoch swap:
 //!
-//! * The data path ([`RouteService::answer`]) loads the current
-//!   [`PlaneEpoch`] from an [`EpochCell`] (an `Arc` clone under an
-//!   uncontended read lock) and walks the compiled plane. Every
-//!   response carries the epoch it was computed against.
-//! * The control path ([`RouteService::reconcile`]) observes topology
-//!   drift on a master [`SelfHealingPlane`](cpr_plane::SelfHealingPlane),
-//!   repairs it **off the serving path**, then publishes a cloned
+//! * The data path ([`MultiRouteService::answer`]) loads the current
+//!   [`MultiSnapshot`](cpr_plane::MultiSnapshot) from an [`EpochCell`]
+//!   (an `Arc` clone under an uncontended read lock) and walks the
+//!   compiled plane of the request's traffic class. Every response
+//!   carries the epoch it was computed against.
+//! * The control path ([`MultiRouteService::reconcile`]) diffs topology
+//!   drift on a master [`MultiPlane`](cpr_plane::MultiPlane), repairs
+//!   every class **off the serving path**, then publishes a cloned
 //!   snapshot with one pointer swap. In-flight queries finish on the
 //!   epoch they started with; no query is dropped, and no answer is
 //!   computed against a topology older than its stamped epoch.
+//! * The served registry is a [`MultiBuilder`](cpr_plane::MultiBuilder):
+//!   one algebra is one `class(name, factory)` call, twelve are twelve.
 //! * [`loadgen`] drives it closed-loop with seed-deterministic query
 //!   streams, and the server records per-epoch query counts, hop and
 //!   latency histograms, and swap counts into a `cpr-obs` registry
@@ -24,18 +27,20 @@
 //! ```
 //! use cpr_algebra::policies::ShortestPath;
 //! use cpr_graph::{generators, EdgeWeights};
+//! use cpr_plane::MultiBuilder;
 //! use cpr_routing::DestTable;
-//! use cpr_serve::{RouteClient, RouteServer, RouteService, ServeConfig};
+//! use cpr_serve::{MultiRouteService, RouteClient, RouteServer, ServeConfig};
 //! use rand::SeedableRng;
 //! use std::sync::Arc;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let g = generators::gnp_connected(12, 0.3, &mut rng);
-//! let w = EdgeWeights::uniform(&g, 1u64);
-//! let scheme = DestTable::build(&g, &w, &ShortestPath);
+//! let registry = MultiBuilder::new().class("shortest-path", |g| {
+//!     DestTable::build(g, &EdgeWeights::uniform(g, 1u64), &ShortestPath)
+//! });
 //!
 //! let service = Arc::new(
-//!     RouteService::new(scheme, g, ServeConfig::default(), cpr_obs::Obs::with_null_tracer())
+//!     MultiRouteService::new(&g, registry, ServeConfig::default(), cpr_obs::Obs::with_null_tracer())
 //!         .unwrap(),
 //! );
 //! let server = RouteServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
@@ -63,8 +68,8 @@ pub mod proto;
 pub mod server;
 
 pub use client::{ClientError, RouteClient};
-pub use epoch::{EpochCell, PlaneEpoch};
+pub use epoch::EpochCell;
 pub use loadgen::{run_load, Answer, LoadConfig, LoadReport};
 pub use multi::{MultiRouteService, MultiSwapReport};
 pub use proto::{ProtoError, Request, Response, RouteOutcome, StatsSnapshot};
-pub use server::{RouteServer, RouteService, ServeBackend, ServeConfig, SwapReport};
+pub use server::{RouteServer, ServeConfig};

@@ -1,16 +1,16 @@
-//! The multi-algebra serving backend: every registered traffic class
-//! answered from one process, one socket, one epoch cell.
+//! The serving state: every registered traffic class answered from one
+//! process, one socket, one epoch cell.
 //!
-//! [`MultiRouteService`] is the multi-class sibling of
-//! [`RouteService`](crate::RouteService): the master
+//! In a [`MultiRouteService`] the master
 //! [`MultiPlane`](cpr_plane::MultiPlane) sits behind a mutex (control
 //! path), an immutable [`MultiSnapshot`](cpr_plane::MultiSnapshot)
-//! behind the same [`EpochCell`] the single-class daemon uses (data
-//! path), and [`reconcile`](MultiRouteService::reconcile) repairs
-//! **all** classes from one shared dirty set before publishing a new
-//! epoch with one atomic swap. The wire protocol's traffic-class byte
-//! selects the class per Lookup/Batch; a class outside the registry is
-//! answered with [`ERR_PROTO`], never remapped.
+//! behind an [`EpochCell`] (data path), and
+//! [`reconcile`](MultiRouteService::reconcile) repairs **all** classes
+//! from one shared dirty set before publishing a new epoch with one
+//! atomic swap. The wire protocol's traffic-class byte selects the
+//! class per Lookup/Batch; a class outside the registry is answered
+//! with [`ERR_PROTO`], never remapped. A single-algebra daemon is the
+//! one-entry registry: legacy class-less frames land on class 0.
 //!
 //! Queries route through each class's zero-alloc
 //! [`StaticCore`](cpr_plane::StaticCore) whenever the class's base
@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use cpr_graph::Graph;
@@ -39,7 +39,7 @@ use crate::proto::{
     Request, Response, RouteOutcome, StatsSnapshot, ERR_BAD_REQUEST, ERR_INADMISSIBLE,
     ERR_INTERNAL, ERR_PROTO,
 };
-use crate::server::{ServeBackend, ServeConfig};
+use crate::server::ServeConfig;
 
 /// What one [`MultiRouteService::reconcile`] call did.
 #[derive(Clone, Debug)]
@@ -54,7 +54,7 @@ pub struct MultiSwapReport {
     pub repair: Option<MultiRepairReport>,
 }
 
-/// The multi-class serving state; see the module docs.
+/// The serving state; see the module docs.
 pub struct MultiRouteService {
     config: ServeConfig,
     master: Mutex<MultiPlane>,
@@ -161,24 +161,14 @@ impl MultiRouteService {
                 repair: None,
             });
         }
-        master.record_health(&self.obs);
-        let snapshot = master.snapshot();
-        let epoch = snapshot.epoch();
-        let digest = snapshot.digest();
-        drop(master);
-        self.cell.store(Arc::new(snapshot));
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        self.obs.incr("serve.swaps");
-        self.obs.set_gauge("serve.epoch", epoch as i64);
-        // Swap latency is wall-clock: tracer only, never the registry.
-        self.obs.event(
+        let (epoch, digest) = self.publish(
+            master,
+            started,
             "serve.multi_swap",
             &[
-                ("epoch", Json::int(epoch)),
                 ("classes", Json::int(repair.class_stats.len())),
                 ("strategy", Json::str(repair.strategy)),
                 ("shared_dirty", Json::int(repair.shared_dirty_pairs)),
-                ("micros", Json::int(started.elapsed().as_micros())),
             ],
         );
         Ok(MultiSwapReport {
@@ -203,25 +193,15 @@ impl MultiRouteService {
         let started = Instant::now();
         let mut master = self.master.lock().unwrap_or_else(PoisonError::into_inner);
         let reg = master.register_class_expr(name, expr)?;
-        master.record_health(&self.obs);
-        let live = master.live_class_count();
-        let snapshot = master.snapshot();
-        let epoch = snapshot.epoch();
-        drop(master);
-        self.cell.store(Arc::new(snapshot));
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        self.obs.incr("serve.swaps");
         self.obs.incr("serve.registrations");
-        self.obs.set_gauge("serve.epoch", epoch as i64);
-        self.obs.set_gauge("serve.classes", live as i64);
-        self.obs.event(
+        let (epoch, _) = self.publish(
+            master,
+            started,
             "serve.register",
             &[
-                ("epoch", Json::int(epoch)),
                 ("class", Json::int(reg.class)),
                 ("name", Json::str(name)),
                 ("scheme", Json::str(reg.scheme.name())),
-                ("micros", Json::int(started.elapsed().as_micros())),
             ],
         );
         Ok((reg.class as u8, reg.scheme.name().to_string(), epoch))
@@ -237,27 +217,46 @@ impl MultiRouteService {
     /// [`TenantError::UnknownClass`] / [`TenantError::SeedClass`]; on
     /// error nothing is published.
     pub fn deregister_class(&self, name: &str) -> Result<(u8, u64), TenantError> {
+        let started = Instant::now();
         let mut master = self.master.lock().unwrap_or_else(PoisonError::into_inner);
         let class = master.deregister_class(name)?;
+        self.obs.incr("serve.deregistrations");
+        let (epoch, _) = self.publish(
+            master,
+            started,
+            "serve.deregister",
+            &[("class", Json::int(class)), ("name", Json::str(name))],
+        );
+        Ok((class as u8, epoch))
+    }
+
+    /// The one swap tail of every control-path operation: snapshot the
+    /// master, release it, publish the snapshot with one atomic store,
+    /// then count the swap and emit `event` (`epoch`, `fields`, and the
+    /// wall-clock since `started` — tracer only, never the registry).
+    /// Returns the published `(epoch, digest)`.
+    fn publish(
+        &self,
+        master: MutexGuard<'_, MultiPlane>,
+        started: Instant,
+        event: &str,
+        fields: &[(&str, Json)],
+    ) -> (u64, u64) {
+        master.record_health(&self.obs);
         let live = master.live_class_count();
         let snapshot = master.snapshot();
-        let epoch = snapshot.epoch();
+        let (epoch, digest) = (snapshot.epoch(), snapshot.digest());
         drop(master);
         self.cell.store(Arc::new(snapshot));
         self.swaps.fetch_add(1, Ordering::Relaxed);
         self.obs.incr("serve.swaps");
-        self.obs.incr("serve.deregistrations");
         self.obs.set_gauge("serve.epoch", epoch as i64);
         self.obs.set_gauge("serve.classes", live as i64);
-        self.obs.event(
-            "serve.deregister",
-            &[
-                ("epoch", Json::int(epoch)),
-                ("class", Json::int(class)),
-                ("name", Json::str(name)),
-            ],
-        );
-        Ok((class as u8, epoch))
+        let mut all = vec![("epoch", Json::int(epoch))];
+        all.extend_from_slice(fields);
+        all.push(("micros", Json::int(started.elapsed().as_micros())));
+        self.obs.event(event, &all);
+        (epoch, digest)
     }
 
     fn class_of(&self, snap: &MultiSnapshot, class: u8) -> Result<usize, Response> {
@@ -459,19 +458,5 @@ impl MultiRouteService {
                 .map(|(&e, &q)| (e, q))
                 .collect(),
         }
-    }
-}
-
-impl ServeBackend for MultiRouteService {
-    fn config(&self) -> &ServeConfig {
-        MultiRouteService::config(self)
-    }
-
-    fn obs(&self) -> &Obs {
-        MultiRouteService::obs(self)
-    }
-
-    fn answer(&self, request: &Request) -> Response {
-        MultiRouteService::answer(self, request)
     }
 }

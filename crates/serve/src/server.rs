@@ -1,35 +1,26 @@
-//! The daemon: a [`RouteService`] (serving state + control plane) and a
-//! [`RouteServer`] (TCP accept loop on scoped threads).
+//! The daemon's socket side: a [`RouteServer`] (TCP accept loop on
+//! scoped threads) in front of a [`MultiRouteService`].
 //!
 //! The split mirrors a real router: the **data path** is
-//! [`RouteService::answer`] — load the current [`PlaneEpoch`] from the
-//! [`EpochCell`], walk the compiled plane, count the query. The
-//! **control path** is [`RouteService::reconcile`] — observe a (possibly
-//! drifted) topology on the master healing plane, repair it off the
-//! serving path, then publish a cloned snapshot with one atomic swap.
-//! Queries in flight during a swap finish against the epoch they
-//! started on; queries accepted after the swap see the new epoch. No
-//! query is ever dropped or answered against a topology older than the
-//! epoch stamped on its response.
+//! [`MultiRouteService::answer`] — load the current snapshot from the
+//! epoch cell, walk the compiled plane, count the query. The **control
+//! path** is [`MultiRouteService::reconcile`] — diff a (possibly
+//! drifted) topology on the master plane, repair it off the serving
+//! path, then publish a cloned snapshot with one atomic swap. Queries
+//! in flight during a swap finish against the epoch they started on;
+//! queries accepted after the swap see the new epoch. No query is ever
+//! dropped or answered against a topology older than the epoch stamped
+//! on its response.
 
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cpr_graph::Graph;
-use cpr_obs::{Json, Obs};
-use cpr_plane::{
-    CompileError, DeltaOracle, RepairPolicy, RepairStats, SelfHealingPlane, StaleReport,
-};
-use cpr_routing::{RouteError, RoutingScheme};
-
-use crate::epoch::{EpochCell, PlaneEpoch};
+use crate::multi::MultiRouteService;
 use crate::proto::{
-    self, ProtoError, Request, Response, RouteOutcome, StatsSnapshot, DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_FRAME, ERR_BAD_REQUEST, ERR_PROTO,
+    self, ProtoError, Request, Response, DEFAULT_MAX_BATCH, DEFAULT_MAX_FRAME, ERR_PROTO,
 };
 
 /// Limits and switches for one serving instance.
@@ -60,397 +51,23 @@ impl Default for ServeConfig {
     }
 }
 
-/// Anything a [`RouteServer`] can serve: the connection workers only
-/// need limits, an obs registry, and a data path. [`RouteService`]
-/// (one scheme × one algebra) and
-/// [`MultiRouteService`](crate::MultiRouteService) (every registered
-/// traffic class) both implement it, so the same accept loop, framing
-/// and error handling serve either.
-pub trait ServeBackend: Send + Sync {
-    /// The configured limits.
-    fn config(&self) -> &ServeConfig;
-
-    /// The observability context the backend records into.
-    fn obs(&self) -> &Obs;
-
-    /// The data path: answer one decoded request.
-    fn answer(&self, request: &Request) -> Response;
-}
-
-/// What one [`RouteService::reconcile`] call did.
-#[derive(Clone, Debug)]
-pub struct SwapReport {
-    /// Whether a new epoch was published. `false` when the observed
-    /// topology matched the serving one and nothing was dirty.
-    pub swapped: bool,
-    /// Serving epoch after the call.
-    pub epoch: u64,
-    /// Serving topology digest after the call.
-    pub digest: u64,
-    /// What `observe` saw on the master plane.
-    pub stale: StaleReport,
-    /// The repair pass, when one ran.
-    pub repair: Option<RepairStats>,
-}
-
-/// The serving state: an immutable snapshot behind an [`EpochCell`]
-/// (data path), the master [`SelfHealingPlane`] behind a mutex (control
-/// path), and the query/swap counters + `cpr-obs` registry both paths
-/// record into.
-pub struct RouteService<S: RoutingScheme> {
-    config: ServeConfig,
-    master: Mutex<SelfHealingPlane<S>>,
-    cell: EpochCell<PlaneEpoch<S>>,
-    obs: Obs,
-    queries: AtomicU64,
-    delivered: AtomicU64,
-    unroutable: AtomicU64,
-    failed: AtomicU64,
-    swaps: AtomicU64,
-    epoch_queries: Mutex<BTreeMap<u64, u64>>,
-}
-
-impl<S> RouteService<S>
-where
-    S: RoutingScheme + Clone + Send + Sync,
-    S::Header: Send + Sync,
-{
-    /// Compiles `scheme` over `graph` and wires up epoch 0.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CompileError`] of the underlying compile.
-    pub fn new(
-        scheme: S,
-        graph: Graph,
-        config: ServeConfig,
-        obs: Obs,
-    ) -> Result<Self, CompileError> {
-        let master = SelfHealingPlane::new(&scheme, &graph)?;
-        let snapshot = master.clone();
-        let cell = EpochCell::new(Arc::new(PlaneEpoch::new(scheme, graph, snapshot)));
-        obs.set_gauge("serve.epoch", 0);
-        Ok(RouteService {
-            config,
-            master: Mutex::new(master),
-            cell,
-            obs,
-            queries: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            unroutable: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
-            epoch_queries: Mutex::new(BTreeMap::new()),
-        })
-    }
-
-    /// The configured limits.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// The observability context the service records into.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// The current serving snapshot.
-    pub fn current(&self) -> Arc<PlaneEpoch<S>> {
-        self.cell.load()
-    }
-
-    /// The control path: observe `graph` on the master plane and, if the
-    /// topology drifted (or pairs were left dirty), repair off the
-    /// serving path and publish a new epoch with one atomic swap.
-    /// Serving continues on the old epoch for the entire repair; the
-    /// swap itself is a pointer store.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CompileError`] from `observe` (node-count change) or the
-    /// repair pass. On error nothing is published — the old epoch keeps
-    /// serving.
-    pub fn reconcile(&self, scheme: S, graph: Graph) -> Result<SwapReport, CompileError> {
-        let started = Instant::now();
-        let mut master = self.master.lock().unwrap_or_else(PoisonError::into_inner);
-        let stale = master.observe(&graph)?;
-        if !stale.stale && master.dirty_pairs() == 0 {
-            return Ok(SwapReport {
-                swapped: false,
-                epoch: master.epoch(),
-                digest: master.digest(),
-                stale,
-                repair: None,
-            });
-        }
-        let repair = master.repair_obs(&scheme, &graph, &self.obs)?;
-        let snapshot = master.clone();
-        let epoch = snapshot.epoch();
-        let digest = snapshot.digest();
-        drop(master);
-        self.cell
-            .store(Arc::new(PlaneEpoch::new(scheme, graph, snapshot)));
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        self.obs.incr("serve.swaps");
-        self.obs.set_gauge("serve.epoch", epoch as i64);
-        // Swap latency is wall-clock: tracer only, never the registry.
-        self.obs.event(
-            "serve.swap",
-            &[
-                ("epoch", Json::int(epoch)),
-                ("dirty_pairs", Json::int(repair.dirty_pairs)),
-                ("full_rebuild", Json::Bool(repair.full_rebuild)),
-                ("micros", Json::int(started.elapsed().as_micros())),
-            ],
-        );
-        Ok(SwapReport {
-            swapped: true,
-            epoch,
-            digest,
-            stale,
-            repair: Some(repair),
-        })
-    }
-
-    /// [`reconcile`](Self::reconcile), with the dirty set bounded by
-    /// `oracle` and the patch/rebuild choice governed by `policy` (via
-    /// [`SelfHealingPlane::repair_with_obs`]): edge additions patch only
-    /// the pairs the delta can affect instead of forcing a recompile, so
-    /// the control path stays incremental under continuous churn.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`reconcile`](Self::reconcile). On error nothing is
-    /// published — the old epoch keeps serving.
-    pub fn reconcile_with(
-        &self,
-        scheme: S,
-        graph: Graph,
-        oracle: &mut dyn DeltaOracle,
-        policy: &RepairPolicy,
-    ) -> Result<SwapReport, CompileError> {
-        let started = Instant::now();
-        let mut master = self.master.lock().unwrap_or_else(PoisonError::into_inner);
-        let stale = master.observe_with(&graph, oracle)?;
-        if !stale.stale && master.dirty_pairs() == 0 {
-            return Ok(SwapReport {
-                swapped: false,
-                epoch: master.epoch(),
-                digest: master.digest(),
-                stale,
-                repair: None,
-            });
-        }
-        let repair = master.repair_with_obs(&scheme, &graph, oracle, policy, &self.obs)?;
-        let snapshot = master.clone();
-        let epoch = snapshot.epoch();
-        let digest = snapshot.digest();
-        drop(master);
-        self.cell
-            .store(Arc::new(PlaneEpoch::new(scheme, graph, snapshot)));
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        self.obs.incr("serve.swaps");
-        self.obs.set_gauge("serve.epoch", epoch as i64);
-        // Swap latency is wall-clock: tracer only, never the registry.
-        self.obs.event(
-            "serve.swap",
-            &[
-                ("epoch", Json::int(epoch)),
-                ("dirty_pairs", Json::int(repair.dirty_pairs)),
-                ("full_rebuild", Json::Bool(repair.full_rebuild)),
-                ("micros", Json::int(started.elapsed().as_micros())),
-            ],
-        );
-        Ok(SwapReport {
-            swapped: true,
-            epoch,
-            digest,
-            stale,
-            repair: Some(repair),
-        })
-    }
-
-    fn route_one(&self, ep: &PlaneEpoch<S>, source: u32, target: u32) -> RouteOutcome {
-        let n = ep.graph().node_count();
-        if source as usize >= n || target as usize >= n {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-            self.obs.incr("serve.failed");
-            return RouteOutcome::Failed(format!(
-                "node id out of range: ({source}, {target}) on {n} nodes"
-            ));
-        }
-        if source == target {
-            self.delivered.fetch_add(1, Ordering::Relaxed);
-            self.obs.incr("serve.delivered");
-            self.obs.record("serve.hops", 0);
-            return RouteOutcome::Path(vec![source]);
-        }
-        match ep.lookup(source as usize, target as usize) {
-            Ok((path, _served)) => {
-                self.delivered.fetch_add(1, Ordering::Relaxed);
-                self.obs.incr("serve.delivered");
-                self.obs
-                    .record("serve.hops", path.len().saturating_sub(1) as u64);
-                RouteOutcome::Path(path.into_iter().map(|v| v as u32).collect())
-            }
-            Err(RouteError::Unroutable { .. }) => {
-                self.unroutable.fetch_add(1, Ordering::Relaxed);
-                self.obs.incr("serve.unroutable");
-                RouteOutcome::Unroutable
-            }
-            Err(e) => {
-                self.failed.fetch_add(1, Ordering::Relaxed);
-                self.obs.incr("serve.failed");
-                RouteOutcome::Failed(e.to_string())
-            }
-        }
-    }
-
-    fn count_queries(&self, epoch: u64, n: u64) {
-        self.queries.fetch_add(n, Ordering::Relaxed);
-        *self
-            .epoch_queries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(epoch)
-            .or_insert(0) += n;
-        self.obs.add("serve.queries", n);
-        self.obs.add(&format!("serve.queries.epoch.{epoch}"), n);
-    }
-
-    /// The data path: answer one decoded request. Epoch consistency is
-    /// per request — a batch is answered entirely against the snapshot
-    /// loaded at its start, and the response carries that epoch.
-    pub fn answer(&self, request: &Request) -> Response {
-        // This backend serves exactly one algebra: traffic class 0. Any
-        // other class is a protocol error, mirroring the multi-class
-        // backend's out-of-range answer.
-        if let Request::Lookup { class, .. } | Request::Batch { class, .. } = request {
-            if *class != 0 {
-                self.obs.incr("serve.proto_errors");
-                return Response::Error {
-                    code: ERR_PROTO,
-                    message: format!("traffic class {class} out of range: 1 class served"),
-                };
-            }
-        }
-        match request {
-            Request::Lookup { source, target, .. } => {
-                let ep = self.cell.load();
-                self.count_queries(ep.epoch(), 1);
-                Response::Route {
-                    epoch: ep.epoch(),
-                    outcome: self.route_one(&ep, *source, *target),
-                }
-            }
-            Request::Batch { pairs, .. } => {
-                if pairs.len() > self.config.max_batch as usize {
-                    return Response::Error {
-                        code: ERR_BAD_REQUEST,
-                        message: format!(
-                            "batch of {} pairs exceeds cap of {}",
-                            pairs.len(),
-                            self.config.max_batch
-                        ),
-                    };
-                }
-                let ep = self.cell.load();
-                self.count_queries(ep.epoch(), pairs.len() as u64);
-                Response::Batch {
-                    epoch: ep.epoch(),
-                    outcomes: pairs
-                        .iter()
-                        .map(|&(s, t)| self.route_one(&ep, s, t))
-                        .collect(),
-                }
-            }
-            Request::Health => {
-                let ep = self.cell.load();
-                Response::Health {
-                    epoch: ep.epoch(),
-                    digest: ep.digest(),
-                    fresh: ep.is_fresh(),
-                }
-            }
-            Request::Metrics => {
-                let ep = self.cell.load();
-                Response::Metrics {
-                    epoch: ep.epoch(),
-                    json: self.obs.registry.render_json().to_compact(),
-                }
-            }
-            Request::Stats => Response::Stats(self.stats()),
-            // The single-class backend has a fixed registry; dynamic
-            // tenancy needs the multi-class backend.
-            Request::Register { .. } | Request::Deregister { .. } => Response::Error {
-                code: ERR_BAD_REQUEST,
-                message: "this backend serves a fixed single-class registry; \
-                          class registration needs a multi-class server"
-                    .to_owned(),
-            },
-        }
-    }
-
-    /// The fixed-layout counters served by the `Stats` opcode.
-    pub fn stats(&self) -> StatsSnapshot {
-        let ep = self.cell.load();
-        StatsSnapshot {
-            epoch: ep.epoch(),
-            digest: ep.digest(),
-            swaps: self.swaps.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            unroutable: self.unroutable.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            epoch_queries: self
-                .epoch_queries
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .map(|(&e, &q)| (e, q))
-                .collect(),
-        }
-    }
-}
-
-impl<S> ServeBackend for RouteService<S>
-where
-    S: RoutingScheme + Clone + Send + Sync,
-    S::Header: Send + Sync,
-{
-    fn config(&self) -> &ServeConfig {
-        RouteService::config(self)
-    }
-
-    fn obs(&self) -> &Obs {
-        RouteService::obs(self)
-    }
-
-    fn answer(&self, request: &Request) -> Response {
-        RouteService::answer(self, request)
-    }
-}
-
 /// The TCP daemon: a non-blocking accept loop that hands each
 /// connection to a scoped worker thread. Workers poll the shared stop
 /// flag between (timed-out) reads, so [`run`](Self::run) returns — with
-/// every worker joined — shortly after the flag is raised. Generic over
-/// the [`ServeBackend`]: a single-class [`RouteService`] and a
-/// multi-class [`MultiRouteService`](crate::MultiRouteService) share
-/// this exact loop.
-pub struct RouteServer<B: ServeBackend> {
-    service: Arc<B>,
+/// every worker joined — shortly after the flag is raised.
+pub struct RouteServer {
+    service: Arc<MultiRouteService>,
     listener: TcpListener,
     stop: Arc<AtomicBool>,
 }
 
-impl<B: ServeBackend> RouteServer<B> {
+impl RouteServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
     ///
     /// # Errors
     ///
     /// Any I/O error from binding or configuring the listener.
-    pub fn bind(service: Arc<B>, addr: &str) -> io::Result<Self> {
+    pub fn bind(service: Arc<MultiRouteService>, addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         Ok(RouteServer {
@@ -475,7 +92,7 @@ impl<B: ServeBackend> RouteServer<B> {
     }
 
     /// The serving state, shared with the accept loop.
-    pub fn service(&self) -> &Arc<B> {
+    pub fn service(&self) -> &Arc<MultiRouteService> {
         &self.service
     }
 
@@ -496,7 +113,7 @@ impl<B: ServeBackend> RouteServer<B> {
                 Ok((stream, _peer)) => {
                     let service = Arc::clone(&self.service);
                     let stop = Arc::clone(&self.stop);
-                    scope.spawn(move || handle_connection(&*service, stream, &stop));
+                    scope.spawn(move || handle_connection(&service, stream, &stop));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(1));
@@ -574,7 +191,7 @@ fn read_frame_polling(
 /// the stop flag is raised, or the peer violates the protocol (which is
 /// answered with a best-effort `Error` frame and a close — never a
 /// panic, never a poisoned worker).
-fn handle_connection<B: ServeBackend>(service: &B, mut stream: TcpStream, stop: &AtomicBool) {
+fn handle_connection(service: &MultiRouteService, mut stream: TcpStream, stop: &AtomicBool) {
     let config = *service.config();
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(config.read_timeout_ms.max(1))));

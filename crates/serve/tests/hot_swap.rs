@@ -19,9 +19,9 @@ use std::time::{Duration, Instant};
 
 use cpr_algebra::policies::ShortestPath;
 use cpr_graph::{generators, EdgeWeights, Graph};
-use cpr_plane::{DeltaTracker, RepairPolicy};
+use cpr_plane::{DeltaTracker, MultiBuilder, RepairPolicy};
 use cpr_routing::{DestTable, RouteError};
-use cpr_serve::{RouteClient, RouteOutcome, RouteServer, RouteService, ServeConfig};
+use cpr_serve::{MultiRouteService, RouteClient, RouteOutcome, RouteServer, ServeConfig};
 use cpr_sim::{
     churn_schedule, churn_timeline, topology_timeline, ChurnConfig, ChurnEvent, ChurnTargeting,
     FaultPlan, StormConfig,
@@ -35,6 +35,11 @@ const N: usize = 20;
 fn scheme_for(graph: &Graph) -> DestTable {
     let w = EdgeWeights::uniform(graph, 1u64);
     DestTable::build(graph, &w, &ShortestPath)
+}
+
+/// The single-algebra daemon: a one-entry registry.
+fn one_class() -> MultiBuilder {
+    MultiBuilder::new().class("shortest-path", scheme_for)
 }
 
 struct Recorded {
@@ -76,9 +81,9 @@ fn churn_under_live_load_never_drops_or_serves_stale() {
     );
 
     let service = Arc::new(
-        RouteService::new(
-            scheme0.clone(),
-            g0.clone(),
+        MultiRouteService::new(
+            &g0,
+            one_class(),
             ServeConfig::default(),
             cpr_obs::Obs::with_null_tracer(),
         )
@@ -129,14 +134,12 @@ fn churn_under_live_load_never_drops_or_serves_stale() {
                 continue;
             }
             let scheme = scheme_for(&step.graph);
+            let before = service.current().digest();
             let report = service
-                .reconcile(scheme.clone(), step.graph.clone())
+                .reconcile(&step.graph, &RepairPolicy::default())
                 .expect("reconcile");
             assert!(report.swapped, "a changed step must publish a new epoch");
-            assert!(
-                report.stale.expected_digest != report.stale.observed_digest,
-                "changed step with equal digests"
-            );
+            assert!(report.digest != before, "changed step with equal digests");
             swaps += 1;
             assert_eq!(
                 report.epoch, swaps,
@@ -248,7 +251,8 @@ fn churn_under_live_load_never_drops_or_serves_stale() {
 
 /// The additions-containing storm: seeded churn with genuinely *new*
 /// links (plus targeted crashes and link failures) driven through
-/// [`RouteService::reconcile_with`] under live socket load. Every answer
+/// [`MultiRouteService::reconcile`] — the class registered with its own
+/// [`DeltaTracker`] — under live socket load. Every answer
 /// is audited hop-for-hop against its epoch's oracle — zero stale
 /// answers — and every repair must stay incremental: an added edge
 /// patches the affected pairs, it never forces a full rebuild.
@@ -276,10 +280,14 @@ fn additions_storm_reconciles_incrementally_with_zero_stale_answers() {
     );
     let timeline = churn_timeline(&g0, &events).expect("schedule applies cleanly");
 
+    // The schemes use uniform weights, so the tracker tracks the same
+    // preference (hop-count ties broken exactly like the scheme's
+    // generalized Dijkstra).
+    let tracker = DeltaTracker::new(ShortestPath, &g0, |_, _| 1u64).with_hop_tiebreak(true);
     let service = Arc::new(
-        RouteService::new(
-            scheme0.clone(),
-            g0.clone(),
+        MultiRouteService::new(
+            &g0,
+            one_class().with_oracle(tracker),
             ServeConfig::default(),
             cpr_obs::Obs::with_null_tracer(),
         )
@@ -294,10 +302,6 @@ fn additions_storm_reconciles_incrementally_with_zero_stale_answers() {
 
     let answered = AtomicU64::new(0);
     let churn_done = AtomicBool::new(false);
-    // The schemes use uniform weights, so the tracker tracks the same
-    // preference (hop-count ties broken exactly like the scheme's
-    // generalized Dijkstra).
-    let mut tracker = DeltaTracker::new(ShortestPath, &g0, |_, _| 1u64).with_hop_tiebreak(true);
     // Never force: the point of this storm is that *no* delta — adds
     // included — needs a rebuild; dirty == all pairs would still take
     // the rebuild path, and the audit below asserts it never happens.
@@ -335,11 +339,14 @@ fn additions_storm_reconciles_incrementally_with_zero_stale_answers() {
                 continue;
             }
             let scheme = scheme_for(&step.graph);
-            let report = service
-                .reconcile_with(scheme.clone(), step.graph.clone(), &mut tracker, &policy)
-                .expect("reconcile_with");
+            let report = service.reconcile(&step.graph, &policy).expect("reconcile");
             assert!(report.swapped, "a changed step must publish a new epoch");
-            let repair = report.repair.as_ref().expect("changed step repairs");
+            let repair = &report
+                .repair
+                .as_ref()
+                .expect("changed step repairs")
+                .class_stats[0]
+                .1;
             assert!(
                 !repair.full_rebuild,
                 "event {:?} forced a full rebuild ({} dirty pairs) — \

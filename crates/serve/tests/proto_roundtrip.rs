@@ -10,12 +10,13 @@ use std::sync::Arc;
 
 use cpr_algebra::policies::ShortestPath;
 use cpr_graph::{generators, EdgeWeights};
+use cpr_plane::MultiBuilder;
 use cpr_routing::DestTable;
 use cpr_serve::proto::{
     read_frame, write_frame, ProtoError, Request, Response, RouteOutcome, StatsSnapshot,
     ERR_BAD_REQUEST, ERR_PROTO,
 };
-use cpr_serve::{RouteClient, RouteServer, RouteService, ServeConfig};
+use cpr_serve::{MultiRouteService, RouteClient, RouteServer, ServeConfig};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -224,24 +225,26 @@ proptest! {
 // ---------------------------------------------------------------------
 // Malformed frames against a live server.
 
-type Scheme = DestTable;
-
+/// A one-class daemon: the single-algebra deployment is a one-entry
+/// registry.
 fn boot() -> (
-    RouteServer<RouteService<Scheme>>,
+    RouteServer,
     std::net::SocketAddr,
     Arc<std::sync::atomic::AtomicBool>,
 ) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let g = generators::gnp_connected(8, 0.4, &mut rng);
-    let w = EdgeWeights::uniform(&g, 1u64);
-    let scheme = DestTable::build(&g, &w, &ShortestPath);
+    let registry = MultiBuilder::new().class("shortest-path", |g| {
+        DestTable::build(g, &EdgeWeights::uniform(g, 1u64), &ShortestPath)
+    });
     let config = ServeConfig {
         max_frame: 256,
         max_batch: 4,
         ..ServeConfig::default()
     };
-    let service =
-        Arc::new(RouteService::new(scheme, g, config, cpr_obs::Obs::with_null_tracer()).unwrap());
+    let service = Arc::new(
+        MultiRouteService::new(&g, registry, config, cpr_obs::Obs::with_null_tracer()).unwrap(),
+    );
     let server = RouteServer::bind(service, "127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap();
     let stop = server.stop_handle();
@@ -313,9 +316,10 @@ fn malformed_frames_close_cleanly_and_never_panic_workers() {
         assert_eq!(epoch, 0);
         assert!(matches!(outcome, RouteOutcome::Path(_)));
 
-        // 7. An out-of-range traffic class on a single-class service is
-        //    a protocol error — for Lookup and Batch alike — and the
-        //    connection keeps serving class 0 afterwards.
+        // 7. An out-of-range traffic class on a one-class service is a
+        //    protocol error — for Lookup and Batch alike — and the
+        //    connection keeps serving class 0 afterwards (step 6's
+        //    class-less `lookup` is the legacy frame landing there).
         for class in [1u8, 7, 255] {
             match client.lookup_class(0, 1, class) {
                 Err(cpr_serve::ClientError::Server { code, message }) => {
