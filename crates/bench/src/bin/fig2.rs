@@ -102,9 +102,9 @@ fn main() {
                                                             // target, concatenated.
             let mut fp = Vec::new();
             for &c in &fam.centers {
-                let tree = dijkstra(&fam.graph, &w, &ShortestPath, c);
+                let hops = dijkstra(&fam.graph, &w, &ShortestPath, c).first_hops();
                 for (t, _) in &fam.targets {
-                    fp.push(tree.first_hop(&fam.graph, *t).map(|(_, port)| port));
+                    fp.push(hops[*t].and_then(|next| fam.graph.port_towards(c, next)));
                 }
             }
             fingerprints.push(fp);

@@ -102,14 +102,64 @@ impl<W: Clone> PreferredTree<W> {
 
     /// The first hop from the source towards `t`: the neighbour and the
     /// source's local port, or `None` when `t` is unreachable or the
-    /// source itself.
+    /// source itself. Walks the parent chain keeping the last child
+    /// seen — no path is materialised.
     pub fn first_hop(&self, graph: &Graph, t: NodeId) -> Option<(NodeId, Port)> {
-        let path = self.path_to(t)?;
-        let next = *path.get(1)?;
-        let port = graph
-            .port_towards(self.source, next)
-            .expect("tree edge must exist in the graph");
-        Some((next, port))
+        let mut next = t;
+        for _ in 0..self.parent.len() {
+            if next == self.source {
+                return None;
+            }
+            let (prev, _) = self.parent[next]?;
+            if prev == self.source {
+                let port = graph
+                    .port_towards(self.source, next)
+                    .expect("tree edge must exist in the graph");
+                return Some((next, port));
+            }
+            next = prev;
+        }
+        panic!("parent pointers contain a cycle");
+    }
+
+    /// The neighbour of [`first_hop`](Self::first_hop) for **every**
+    /// target in one `O(n)` pass: `hops[t]` is the first node after the
+    /// source on the preferred path to `t`, `None` for the source and
+    /// for unreachable targets. Each parent chain is climbed only up to
+    /// the first node already resolved, so a whole forwarding row costs
+    /// `n` steps rather than the sum of its path lengths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parent pointers contain a cycle.
+    pub fn first_hops(&self) -> Vec<Option<NodeId>> {
+        let n = self.parent.len();
+        let mut hops: Vec<Option<NodeId>> = vec![None; n];
+        let mut resolved = vec![false; n];
+        let mut chain: Vec<NodeId> = Vec::new();
+        for t in 0..n {
+            let mut cur = t;
+            let hop = loop {
+                if cur == self.source {
+                    // The topmost climbed node is a child of the source.
+                    break chain.last().copied();
+                }
+                if resolved[cur] {
+                    break hops[cur];
+                }
+                chain.push(cur);
+                assert!(chain.len() <= n, "parent pointers contain a cycle");
+                match self.parent[cur] {
+                    Some((prev, _)) => cur = prev,
+                    None => break None,
+                }
+            };
+            for v in chain.drain(..) {
+                hops[v] = hop;
+                resolved[v] = true;
+            }
+        }
+        hops
     }
 }
 
@@ -140,6 +190,45 @@ mod tests {
         let (g, t) = tree_on_path();
         assert_eq!(t.first_hop(&g, 3), Some((1, 0)));
         assert_eq!(t.first_hop(&g, 0), None);
+    }
+
+    /// Per-target `first_hop` is the reference for the one-pass
+    /// `first_hops`: random trees (sparse graphs, so some targets are
+    /// unreachable), every source, every target incl. the source itself.
+    #[test]
+    fn first_hops_equals_per_target_first_hop() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xF1_2575);
+        for trial in 0..24 {
+            let n = 2 + trial;
+            let g = generators::gnp(n, 1.2 / n as f64, &mut rng);
+            let w = EdgeWeights::from_fn(&g, |e| (e as u64 * 7 + trial as u64) % 5 + 1);
+            let mut unreachable = 0usize;
+            for s in g.nodes() {
+                let tree = crate::dijkstra(&g, &w, &ShortestPath, s);
+                let hops = tree.first_hops();
+                assert_eq!(hops.len(), n);
+                assert_eq!(hops[s], None);
+                for t in g.nodes() {
+                    assert_eq!(
+                        hops[t],
+                        tree.first_hop(&g, t).map(|(next, _)| next),
+                        "trial {trial}: {s} → {t}"
+                    );
+                    // And both agree with the materialised path.
+                    assert_eq!(
+                        hops[t],
+                        tree.path_to(t).and_then(|p| p.get(1).copied()),
+                        "trial {trial}: {s} → {t}"
+                    );
+                    unreachable += usize::from(!tree.reachable(t));
+                }
+            }
+            assert!(
+                trial < 8 || unreachable > 0,
+                "trial {trial} never disconnects"
+            );
+        }
     }
 
     #[test]

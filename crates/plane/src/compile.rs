@@ -436,9 +436,125 @@ const REC_DELIVER: u64 = u32::MAX as u64;
 /// their walks into.
 type TransRec = (u64, u64);
 
+/// Records per full chunk of a [`TransArena`] (1 MiB).
+const TRANS_CHUNK: usize = 1 << 16;
+
+/// A shard's flat transition arena, in commit order, as chunks that
+/// double up to [`TRANS_CHUNK`] records and are never reallocated:
+/// appending copies nothing, so the arena peaks at its records plus one
+/// chunk where a doubling `Vec` holds old and new buffers at each step.
+#[derive(Default)]
+struct TransArena {
+    chunks: Vec<Vec<TransRec>>,
+}
+
+impl TransArena {
+    fn push(&mut self, rec: TransRec) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < chunk.capacity() => chunk.push(rec),
+            last => {
+                let cap = last.map_or(1 << 8, |full| (2 * full.capacity()).min(TRANS_CHUNK));
+                let mut chunk = Vec::with_capacity(cap);
+                chunk.push(rec);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &TransRec> {
+        self.chunks.iter().flatten()
+    }
+}
+
 #[inline(always)]
 fn rec_key(node: NodeId, hid: u32) -> u64 {
     ((node as u64) << 32) | u64::from(hid)
+}
+
+/// "No target recorded" in a dense [`DeliverRow`] (node ids are capped
+/// below `u32::MAX` before any shard runs).
+const NO_TARGET: u32 = u32::MAX;
+
+/// One header's row of the early-stop index.
+enum DeliverRow {
+    /// `(node, target)` pairs sorted by node — what a row is until it
+    /// holds [`DeliverIndex::promote_at`] states.
+    Compact(Vec<(u32, u32)>),
+    /// One target per node, [`NO_TARGET`] where no state is committed.
+    Dense(Box<[u32]>),
+}
+
+/// The early-stop index of one compile shard: for every committed
+/// `(node, header id)` state, the target the state is known to deliver
+/// at — a walk that reaches a committed state stops there.
+///
+/// Rows are **header-major** and allocated per *seen* header: headers
+/// change rarely along a walk, so consecutive probes stay inside one
+/// row, and a scheme with many headers of a few states each
+/// (`SrcDestTable`: `n²` headers) pays for its states, never for
+/// `n · headers` slots. A row stays a sorted compact list until it
+/// holds a quarter of the nodes and only then becomes a dense
+/// `n`-entry array, so both forms cost at most 16 bytes per state
+/// (8-byte pairs at `Vec`'s ≤ 2× growth slack; `4n` bytes over ≥ `n/4`
+/// states) plus one row handle per header.
+struct DeliverIndex {
+    n: usize,
+    /// Row occupancy at which compact becomes dense.
+    promote_at: usize,
+    /// Indexed by shard-local header id; grows as headers are interned.
+    rows: Vec<DeliverRow>,
+}
+
+impl DeliverIndex {
+    fn new(n: usize) -> Self {
+        DeliverIndex {
+            n,
+            promote_at: (n / 4).max(4),
+            rows: Vec::new(),
+        }
+    }
+
+    /// The target state `(node, hid)` is known to deliver at.
+    #[inline]
+    fn get(&self, node: NodeId, hid: u32) -> Option<u32> {
+        match self.rows.get(hid as usize)? {
+            DeliverRow::Compact(row) => row
+                .binary_search_by_key(&(node as u32), |&(at, _)| at)
+                .ok()
+                .map(|i| row[i].1),
+            DeliverRow::Dense(row) => Some(row[node]).filter(|&t| t != NO_TARGET),
+        }
+    }
+
+    /// Records that state `(node, hid)` delivers at `target`.
+    fn insert(&mut self, node: NodeId, hid: u32, target: u32) {
+        let hid = hid as usize;
+        if hid >= self.rows.len() {
+            self.rows
+                .resize_with(hid + 1, || DeliverRow::Compact(Vec::new()));
+        }
+        match &mut self.rows[hid] {
+            DeliverRow::Dense(row) => row[node] = target,
+            DeliverRow::Compact(row) => {
+                match row.binary_search_by_key(&(node as u32), |&(at, _)| at) {
+                    Ok(i) => row[i].1 = target,
+                    Err(i) if row.len() < self.promote_at => row.insert(i, (node as u32, target)),
+                    Err(_) => {
+                        let mut dense = vec![NO_TARGET; self.n].into_boxed_slice();
+                        for &(at, t) in row.iter() {
+                            dense[at as usize] = t;
+                        }
+                        dense[node] = target;
+                        self.rows[hid] = DeliverRow::Dense(dense);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Everything one compile shard (a contiguous source range) learned — a
@@ -457,7 +573,7 @@ struct ShardTrace<H> {
     /// Shard-local interned headers, in local discovery order.
     headers: Vec<H>,
     /// Flat `(key, value)` transition records (see [`TransRec`]).
-    trans: Vec<TransRec>,
+    trans: TransArena,
     /// `sources.len() × n` local initial-header ids at local width;
     /// the value `headers.len()` is the unroutable sentinel.
     initial: PackedArray,
@@ -486,11 +602,10 @@ fn trace_shard<S: RoutingScheme>(
 ) -> Result<ShardTrace<S::Header>, CompileError> {
     let n = graph.node_count();
     let mut intern: Interner<S::Header> = Interner::new();
-    let mut trans: Vec<TransRec> = Vec::new();
+    let mut trans = TransArena::default();
     // Target a committed state is known to deliver at — lets later walks
-    // stop as soon as they join an already-verified path. Keyed by the
-    // packed state word through the fast deterministic hasher.
-    let mut delivers_at: FxHashMap<u64, u32> = FxHashMap::default();
+    // stop as soon as they join an already-verified path.
+    let mut delivers_at = DeliverIndex::new(n);
     let mut initial = vec![u32::MAX; sources.len() * n];
     // Reused across pairs: the hot loop performs no per-pair allocation.
     let mut pending: Vec<TransRec> = Vec::new();
@@ -505,7 +620,7 @@ fn trace_shard<S: RoutingScheme>(
             let mut at = source;
             pending.clear();
             let reached = loop {
-                if let Some(&d) = delivers_at.get(&rec_key(at, hid)) {
+                if let Some(d) = delivers_at.get(at, hid) {
                     break d as NodeId;
                 }
                 match scheme.step(at, intern.header(hid)) {
@@ -549,7 +664,7 @@ fn trace_shard<S: RoutingScheme>(
                 });
             }
             for &(key, val) in &pending {
-                delivers_at.insert(key, target as u32);
+                delivers_at.insert((key >> 32) as NodeId, key as u32, target as u32);
                 trans.push((key, val));
             }
         }
@@ -584,9 +699,15 @@ fn trace_shard<S: RoutingScheme>(
 /// the live [`step`](RoutingScheme::step) simulation; transitions are
 /// committed only after the walk provably delivers at the correct
 /// target, and walks stop early when they reach an already-committed
-/// state (whose delivery target was recorded), so the total work is
-/// proportional to the number of distinct states, not the sum of path
-/// lengths.
+/// state, so the total work is proportional to the number of distinct
+/// states, not the sum of path lengths. The early-stop index is an
+/// array, not a hash table: one row per seen header mapping
+/// `node → delivery target`, probed by plain indexing once per state.
+/// A row is a short sorted list until a quarter of the nodes hold a
+/// state under its header and a dense `n`-entry array from then on, so
+/// the index stays at ≤ 16 bytes per state whether the scheme has `n`
+/// headers of `n` states (destination tables) or `n²` headers of a few
+/// (source–destination tables).
 ///
 /// Compilation is parallel across **contiguous source shards** on the
 /// [`cpr_core::par`] scoped-thread layer (`CPR_THREADS` workers): each
@@ -689,7 +810,7 @@ where
     // every packed array below — is byte-identical for any shard count.
     let mut intern: Interner<S::Header> = Interner::new();
     let mut remaps: Vec<Vec<u32>> = Vec::with_capacity(shards.len());
-    let mut shard_trans: Vec<Vec<TransRec>> = Vec::with_capacity(shards.len());
+    let mut shard_trans: Vec<TransArena> = Vec::with_capacity(shards.len());
     let mut shard_initial: Vec<PackedArray> = Vec::with_capacity(shards.len());
     for trace in traces {
         let trace = trace?;
@@ -724,7 +845,7 @@ where
         ((node << 32) | hid, gval)
     };
 
-    let total_recs: usize = shard_trans.iter().map(Vec::len).sum();
+    let total_recs: usize = shard_trans.iter().map(TransArena::len).sum();
     let dense_slots = n as u128 * headers as u128;
     // The bitset costs one bit per dense slot; the sorted-merge buffer
     // costs 128 bits per record. Prefer whichever is smaller (with a
@@ -735,7 +856,7 @@ where
         let mut seen = vec![0u64; (n * headers.max(1)).div_ceil(64)];
         let mut distinct = 0usize;
         for (remap, recs) in remaps.iter().zip(&shard_trans) {
-            for &(key, _) in recs {
+            for &(key, _) in recs.iter() {
                 let hid = remap[(key & 0xFFFF_FFFF) as usize] as usize;
                 let slot = hid * n + (key >> 32) as usize;
                 let (w, b) = (slot / 64, slot % 64);
@@ -747,7 +868,7 @@ where
     } else {
         sorted.reserve_exact(total_recs);
         for (remap, recs) in remaps.iter().zip(&shard_trans) {
-            for &(key, val) in recs {
+            for &(key, val) in recs.iter() {
                 sorted.push(remap_rec(remap, key, val));
             }
         }
@@ -790,7 +911,7 @@ where
         let mut table = PackedArray::new(n * headers, entry_width);
         if sorted.is_empty() {
             for (remap, recs) in remaps.iter().zip(&shard_trans) {
-                for &(key, val) in recs {
+                for &(key, val) in recs.iter() {
                     let (gkey, gval) = remap_rec(remap, key, val);
                     let (node, hid) = ((gkey >> 32) as usize, (gkey & 0xFFFF_FFFF) as usize);
                     table.set(hid * n + node, encode(gval));
@@ -809,7 +930,7 @@ where
         if sorted.is_empty() && states > 0 {
             sorted.reserve_exact(total_recs);
             for (remap, recs) in remaps.iter().zip(&shard_trans) {
-                for &(key, val) in recs {
+                for &(key, val) in recs.iter() {
                     sorted.push(remap_rec(remap, key, val));
                 }
             }
@@ -1364,6 +1485,54 @@ mod tests {
     use cpr_graph::{generators, EdgeWeights};
     use cpr_routing::DestTable;
     use rand::SeedableRng;
+
+    /// The early-stop index against the hash map it replaced, with rows
+    /// on both sides of the compact → dense promotion and overwrites.
+    #[test]
+    fn deliver_index_matches_a_hash_map_across_promotion() {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xDE11);
+        for n in [1usize, 5, 16, 40, 200] {
+            let mut index = DeliverIndex::new(n);
+            let mut reference = std::collections::HashMap::new();
+            // Header 0 fills completely, higher ids stay ever sparser.
+            for _ in 0..6 * n {
+                let hid = rng.gen_range(0..4u32).min(rng.gen_range(0..4));
+                let (node, target) = (rng.gen_range(0..n), rng.gen_range(0..n) as u32);
+                index.insert(node, hid, target);
+                reference.insert((node, hid), target);
+            }
+            for hid in 0..6u32 {
+                for node in 0..n {
+                    assert_eq!(
+                        index.get(node, hid),
+                        reference.get(&(node, hid)).copied(),
+                        "n = {n}: state ({node}, {hid})"
+                    );
+                }
+            }
+            if n >= 16 {
+                assert!(matches!(index.rows[0], DeliverRow::Dense(_)), "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn trans_arena_keeps_commit_order_across_chunks() {
+        let mut arena = TransArena::default();
+        assert_eq!((arena.len(), arena.iter().count()), (0, 0));
+        let count = 2 * TRANS_CHUNK + 77;
+        for i in 0..count as u64 {
+            arena.push((i, !i));
+        }
+        assert_eq!(arena.len(), count);
+        assert!(arena.iter().copied().eq((0..count as u64).map(|i| (i, !i))));
+        // Chunks double up to the cap and are never regrown.
+        assert!(arena.chunks.iter().all(|c| c.capacity() <= TRANS_CHUNK));
+        assert!(arena.chunks[..arena.chunks.len() - 1]
+            .iter()
+            .all(|c| c.len() == c.capacity()));
+    }
 
     #[test]
     fn packed_array_round_trips() {

@@ -9,10 +9,13 @@
 //! * **Detect** — every plane records a [`graph_digest`] of the topology
 //!   it was compiled against ([`ForwardingPlane::is_current_for`]), and
 //!   [`SelfHealingPlane::observe`] diffs the live graph's edge set
-//!   against the plane's view, bumping a topology epoch and computing
-//!   exactly which `(source, target)` pairs a removed link dirties (by
-//!   walking their compiled paths — a pair whose walk never crossed the
-//!   link is untouched).
+//!   against the plane's view (or takes the [`EdgeDelta`] a
+//!   [`MultiPlane`](crate::MultiPlane) computed once for all its
+//!   classes), bumping a topology epoch and computing exactly which
+//!   `(source, target)` pairs a removed link dirties (by walking their
+//!   compiled paths — a pair whose walk never crossed the link is
+//!   untouched). The dirty set and the served edge set are dense
+//!   `n × n` bit sets: a closure walk probes them once per hop.
 //! * **Repair** — [`SelfHealingPlane::repair`] re-traces only the dirty
 //!   pairs through the live scheme on the *new* graph, extending the
 //!   header intern space as needed, and installs the re-verified steps
@@ -35,7 +38,7 @@
 //!   [`RouteError::BadPort`] if the arrays try — a loud failure, never a
 //!   silently wrong hop.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::time::Instant;
 
 use cpr_graph::{Graph, NodeId};
@@ -46,6 +49,7 @@ use crate::compile::{
     compile_with_intern, graph_digest, CompileError, Decision, ForwardingPlane, Interner,
 };
 use crate::engine::{QueryFailure, ServeReport};
+use crate::pairset::PairSet;
 
 /// How a query was answered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,6 +199,63 @@ pub struct RepairStats {
     pub forced_rebuild: bool,
 }
 
+/// The edge delta between the topology a plane (or a whole
+/// [`MultiPlane`](crate::MultiPlane)) serves and a newly observed one
+/// over the same node set: computed once per event and handed to every
+/// class, instead of each class rebuilding and diffing the edge sets for
+/// itself. Edges are normalized `(min, max)` in ascending order.
+#[derive(Clone, Debug)]
+pub struct EdgeDelta {
+    /// [`graph_digest`] of the topology the delta starts from. A plane
+    /// applies a handed-down delta only when this is the digest it
+    /// serves; otherwise it diffs for itself.
+    from_digest: u64,
+    /// [`graph_digest`] of the observed topology.
+    to_digest: u64,
+    removed: Vec<(NodeId, NodeId)>,
+    added: Vec<(NodeId, NodeId)>,
+}
+
+impl EdgeDelta {
+    /// Diffs `graph` against the edge set `served` (whose digest is
+    /// `served_digest`).
+    pub(crate) fn diff(served: &PairSet, served_digest: u64, graph: &Graph) -> Self {
+        let observed = PairSet::of_edges(graph);
+        EdgeDelta {
+            from_digest: served_digest,
+            to_digest: graph_digest(graph),
+            removed: served
+                .iter()
+                .filter(|&(u, v)| !observed.contains(u, v))
+                .collect(),
+            added: observed
+                .iter()
+                .filter(|&(u, v)| !served.contains(u, v))
+                .collect(),
+        }
+    }
+
+    /// Edges served before that the observed topology lacks.
+    pub fn removed(&self) -> &[(NodeId, NodeId)] {
+        &self.removed
+    }
+
+    /// Edges of the observed topology not served before.
+    pub fn added(&self) -> &[(NodeId, NodeId)] {
+        &self.added
+    }
+
+    /// [`graph_digest`] of the observed topology.
+    pub(crate) fn to_digest(&self) -> u64 {
+        self.to_digest
+    }
+
+    /// `true` when the two topologies have the same edge set.
+    pub fn is_empty(&self) -> bool {
+        self.removed.is_empty() && self.added.is_empty()
+    }
+}
+
 /// A repaired transition: the resolved *node* is stored rather than a
 /// port, because port numbering in the base plane's CSR snapshot refers
 /// to the old topology.
@@ -211,16 +272,17 @@ pub struct SelfHealingPlane<S: RoutingScheme> {
     intern: Interner<S::Header>,
     /// The edge set (normalized `(min, max)`) the plane currently
     /// serves; updated by [`observe`](Self::observe).
-    current_edges: BTreeSet<(NodeId, NodeId)>,
+    current_edges: PairSet,
     current_digest: u64,
     /// Repaired transitions, keyed by `(node, interned header id)`;
     /// checked before the base arrays.
     patch: HashMap<(NodeId, u32), PatchStep>,
     /// Repaired initial-header ids (`None` = pair became unroutable).
     initial_patch: HashMap<(NodeId, NodeId), Option<u32>>,
-    /// Pairs observed stale and not yet repaired; ordered so repair
+    /// Pairs observed stale and not yet repaired, one bit per ordered
+    /// pair; iterated in ascending `(source, target)` order so repair
     /// passes (and thus header-id assignment) are deterministic.
-    dirty: BTreeSet<(NodeId, NodeId)>,
+    dirty: PairSet,
     counters: HealthCounters,
 }
 
@@ -248,14 +310,6 @@ impl<S: RoutingScheme> Clone for SelfHealingPlane<S> {
     }
 }
 
-fn norm(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
-    (u.min(v), u.max(v))
-}
-
-fn edge_set(graph: &Graph) -> BTreeSet<(NodeId, NodeId)> {
-    graph.edges().map(|(_, (u, v))| norm(u, v)).collect()
-}
-
 impl<S> SelfHealingPlane<S>
 where
     S: RoutingScheme + Sync,
@@ -277,11 +331,11 @@ where
         Ok(SelfHealingPlane {
             base,
             intern: Interner { map, order },
-            current_edges: edge_set(graph),
+            current_edges: PairSet::of_edges(graph),
             current_digest: graph_digest(graph),
             patch: HashMap::new(),
             initial_patch: HashMap::new(),
-            dirty: BTreeSet::new(),
+            dirty: PairSet::new(graph.node_count()),
             counters: HealthCounters::default(),
         })
     }
@@ -349,6 +403,19 @@ where
         graph: &Graph,
         source: DirtySource<'_>,
     ) -> Result<StaleReport, CompileError> {
+        self.observe_delta(graph, None, source)
+    }
+
+    /// [`observe`](Self::observe), taking the edge delta from `handed`
+    /// when it starts at the topology this plane serves (a
+    /// [`MultiPlane`](crate::MultiPlane) computes one per event for all
+    /// its classes) and diffing for itself otherwise.
+    fn observe_delta(
+        &mut self,
+        graph: &Graph,
+        handed: Option<&EdgeDelta>,
+        source: DirtySource<'_>,
+    ) -> Result<StaleReport, CompileError> {
         let n = self.base.node_count();
         if graph.node_count() != n {
             return Err(CompileError::NodeCountMismatch {
@@ -356,36 +423,43 @@ where
                 graph: graph.node_count(),
             });
         }
-        let new_edges = edge_set(graph);
+        let own;
+        let delta = match handed {
+            Some(delta) if delta.from_digest == self.current_digest => delta,
+            _ => {
+                own = EdgeDelta::diff(&self.current_edges, self.current_digest, graph);
+                &own
+            }
+        };
         let expected_digest = self.current_digest;
-        let removed: Vec<(NodeId, NodeId)> =
-            self.current_edges.difference(&new_edges).copied().collect();
-        let added: Vec<(NodeId, NodeId)> =
-            new_edges.difference(&self.current_edges).copied().collect();
-        let stale = !(removed.is_empty() && added.is_empty());
+        let stale = !delta.is_empty();
         if stale {
             self.counters.epoch += 1;
             match source {
-                DirtySource::Walks if added.is_empty() => {
-                    let removed_set: BTreeSet<(NodeId, NodeId)> = removed.iter().copied().collect();
-                    self.mark_where(|plane, s, t| plane.walk_crosses(s, t, &removed_set));
+                DirtySource::Walks if delta.added.is_empty() => {
+                    let removed = PairSet::from_pairs(n, delta.removed.iter().copied());
+                    self.mark_where(|plane, s, t| plane.walk_crosses(s, t, &removed));
                 }
                 // A new link can improve any pair: all dirty.
                 DirtySource::Walks => self.mark_dirty(&DirtyPairs::All),
                 DirtySource::Oracle(oracle) => self.mark_dirty(&oracle.affected_pairs(graph)),
                 DirtySource::Pairs(affected) => self.mark_dirty(affected),
             }
-            self.current_edges = new_edges;
-            self.current_digest = graph_digest(graph);
+            for &(u, v) in &delta.removed {
+                self.current_edges.remove(u, v);
+            }
+            for &(u, v) in &delta.added {
+                self.current_edges.insert(u, v);
+            }
+            self.current_digest = delta.to_digest;
         }
-        // Identical edge sets mean identical digests, so when nothing
-        // moved the cached one serves for both sides.
+        // When nothing moved the cached digest serves for both sides.
         Ok(StaleReport {
             stale,
             expected_digest,
             observed_digest: self.current_digest,
-            removed_edges: removed,
-            added_edges: added,
+            removed_edges: delta.removed.clone(),
+            added_edges: delta.added.clone(),
             dirty_pairs: self.dirty.len(),
             pending: self.pending(),
         })
@@ -397,9 +471,11 @@ where
     /// affected pair toward `t`).
     fn mark_dirty(&mut self, affected: &DirtyPairs) {
         match affected {
-            DirtyPairs::All => self.mark_where(|_, _, _| true),
+            DirtyPairs::All => self.dirty.fill_off_diagonal(),
             DirtyPairs::Pairs(affected) => {
-                self.mark_where(|plane, s, t| plane.walk_touches(s, t, affected));
+                let affected =
+                    PairSet::from_pairs(self.base.node_count(), affected.iter().copied());
+                self.mark_where(|plane, s, t| plane.walk_touches(s, t, &affected));
             }
         }
     }
@@ -410,7 +486,7 @@ where
         for s in 0..n {
             for t in 0..n {
                 if s != t && hit(self, s, t) {
-                    self.dirty.insert((s, t));
+                    self.dirty.insert(s, t);
                 }
             }
         }
@@ -432,8 +508,8 @@ where
     /// pair toward `t` (or the walk cannot be decided — conservatively
     /// dirty). The walk runs over the plane's *current* (pre-delta)
     /// view, which is exactly the route whose survival is in question.
-    fn walk_touches(&self, s: NodeId, t: NodeId, affected: &BTreeSet<(NodeId, NodeId)>) -> bool {
-        if self.dirty.contains(&(s, t)) || affected.contains(&(s, t)) {
+    fn walk_touches(&self, s: NodeId, t: NodeId, affected: &PairSet) -> bool {
+        if self.dirty.contains(s, t) || affected.contains(s, t) {
             return true;
         }
         let Some(mut hid) = self.initial_of(s, t) else {
@@ -447,7 +523,7 @@ where
             match self.healed_decide(at, hid) {
                 HealedDecision::Deliver => return false,
                 HealedDecision::Forward { to, next } => {
-                    if to != t && affected.contains(&(to, t)) {
+                    if to != t && affected.contains(to, t) {
                         return true;
                     }
                     at = to;
@@ -466,8 +542,8 @@ where
     /// `removed`, or can no longer be decided (conservatively dirty).
     /// Pairs that were already unroutable stay unroutable under edge
     /// removal and are not dirtied.
-    fn walk_crosses(&self, s: NodeId, t: NodeId, removed: &BTreeSet<(NodeId, NodeId)>) -> bool {
-        if self.dirty.contains(&(s, t)) {
+    fn walk_crosses(&self, s: NodeId, t: NodeId, removed: &PairSet) -> bool {
+        if self.dirty.contains(s, t) {
             return true;
         }
         let Some(mut hid) = self.initial_of(s, t) else {
@@ -479,7 +555,7 @@ where
             match self.healed_decide(at, hid) {
                 HealedDecision::Deliver => return false,
                 HealedDecision::Forward { to, next } => {
-                    if removed.contains(&norm(at, to)) {
+                    if removed.contains(at.min(to), at.max(to)) {
                         return true;
                     }
                     at = to;
@@ -556,12 +632,26 @@ where
         policy: &RepairPolicy,
         obs: &cpr_obs::Obs,
     ) -> Result<RepairStats, CompileError> {
+        self.repair_delta(scheme, graph, None, source, policy, obs)
+    }
+
+    /// [`repair`](Self::repair) with the event's edge delta handed down
+    /// (see [`EdgeDelta`]); `None` makes the plane diff for itself.
+    pub(crate) fn repair_delta(
+        &mut self,
+        scheme: &S,
+        graph: &Graph,
+        delta: Option<&EdgeDelta>,
+        source: DirtySource<'_>,
+        policy: &RepairPolicy,
+        obs: &cpr_obs::Obs,
+    ) -> Result<RepairStats, CompileError> {
         let start = Instant::now();
         let span = obs.span(
             "heal.repair",
             &[("epoch", cpr_obs::Json::int(self.counters.epoch))],
         );
-        self.observe(graph, source)?;
+        self.observe_delta(graph, delta, source)?;
         let n = self.base.node_count();
         let all_pairs = n * n - n;
         let forced = n > 1
@@ -639,14 +729,40 @@ where
     }
 
     /// Re-traces every dirty pair into the patch layer (the incremental
-    /// path — no recompile).
+    /// path — no recompile). The dirty set survives a failed pass.
     fn patch_dirty(&mut self, scheme: &S, graph: &Graph) -> Result<RepairStats, CompileError> {
+        let dirty = std::mem::take(&mut self.dirty);
+        let traced = self.retrace(scheme, graph, &dirty);
+        self.dirty = dirty;
+        let (repaired, unroutable) = traced?;
         let dirty_pairs = self.dirty.len();
+        self.dirty.clear();
+        self.counters.repairs += 1;
+        self.counters.incremental_repairs += 1;
+        Ok(RepairStats {
+            epoch: self.counters.epoch,
+            dirty_pairs,
+            repaired_pairs: repaired,
+            unroutable_pairs: unroutable,
+            patched_states: self.patch.len(),
+            full_rebuild: false,
+            forced_rebuild: false,
+        })
+    }
+
+    /// Traces `pairs`, in ascending `(source, target)` order, through
+    /// the live `scheme` on `graph` into the patch layer; returns the
+    /// `(repaired, unroutable)` pair counts.
+    fn retrace(
+        &mut self,
+        scheme: &S,
+        graph: &Graph,
+        pairs: &PairSet,
+    ) -> Result<(usize, usize), CompileError> {
         let budget = self.base.hop_budget();
         let mut repaired = 0usize;
         let mut unroutable = 0usize;
-        let pairs: Vec<(NodeId, NodeId)> = self.dirty.iter().copied().collect();
-        for (s, t) in pairs {
+        for (s, t) in pairs.iter() {
             let Some(h0) = scheme.initial_header(s, t) else {
                 self.initial_patch.insert((s, t), None);
                 unroutable += 1;
@@ -699,18 +815,7 @@ where
             }
             repaired += 1;
         }
-        self.dirty.clear();
-        self.counters.repairs += 1;
-        self.counters.incremental_repairs += 1;
-        Ok(RepairStats {
-            epoch: self.counters.epoch,
-            dirty_pairs,
-            repaired_pairs: repaired,
-            unroutable_pairs: unroutable,
-            patched_states: self.patch.len(),
-            full_rebuild: false,
-            forced_rebuild: false,
-        })
+        Ok((repaired, unroutable))
     }
 
     /// Routes one query through the healed plane: dirty pairs fall back
@@ -760,7 +865,7 @@ where
         source: NodeId,
         target: NodeId,
     ) -> Result<(Vec<NodeId>, Served), RouteError> {
-        if self.dirty.contains(&(source, target)) {
+        if self.dirty.contains(source, target) {
             return cpr_routing::route(scheme, graph, source, target)
                 .map(|path| (path, Served::Fallback));
         }
@@ -789,7 +894,7 @@ where
             match self.healed_decide(at, hid) {
                 HealedDecision::Deliver => return Ok((visited, degraded)),
                 HealedDecision::Forward { to, next } => {
-                    if !from_patch && !self.current_edges.contains(&norm(at, to)) {
+                    if !from_patch && !self.current_edges.contains(at.min(to), at.max(to)) {
                         // The base arrays point at an edge that no longer
                         // exists and the pair escaped the dirty set — fail
                         // loudly rather than forward onto a dead link.
@@ -939,4 +1044,141 @@ enum HealedDecision {
     Deliver,
     Forward { to: NodeId, next: u32 },
     Invalid,
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+    use cpr_algebra::policies::ShortestPath;
+    use cpr_graph::{generators, EdgeWeights};
+    use cpr_paths::DeltaTracker;
+    use cpr_routing::DestTable;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn weigh(u: NodeId, v: NodeId) -> u64 {
+        1 + ((u.min(v) * 31 + u.max(v) * 17) % 5) as u64
+    }
+
+    fn scheme(g: &Graph) -> DestTable {
+        let w = EdgeWeights::from_fn(g, |e| {
+            let (u, v) = g.endpoints(e);
+            weigh(u, v)
+        });
+        DestTable::build(g, &w, &ShortestPath)
+    }
+
+    /// Removes a random edge or adds a random non-edge.
+    fn churn_step(g: &Graph, rng: &mut StdRng) -> Graph {
+        let n = g.node_count();
+        if rng.gen_bool(0.5) {
+            let victim = rng.gen_range(0..g.edge_count());
+            let kept = g.edges().filter(|&(e, _)| e != victim).map(|(_, uv)| uv);
+            return Graph::from_edges(n, kept).unwrap();
+        }
+        loop {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v && !g.contains_edge(u, v) {
+                let mut g2 = g.clone();
+                g2.add_edge(u, v).unwrap();
+                return g2;
+            }
+        }
+    }
+
+    /// The definition `observe` must implement for an affected-pair
+    /// set: a pair is dirty afterwards exactly when it was dirty before,
+    /// is affected itself, or its pre-delta healed walk visits a node
+    /// that owns an affected pair toward the same target.
+    fn brute_force_dirty(
+        before: &SelfHealingPlane<DestTable>,
+        affected: &BTreeSet<(NodeId, NodeId)>,
+    ) -> Vec<(NodeId, NodeId)> {
+        let n = before.base.node_count();
+        let mut out = Vec::new();
+        for s in 0..n {
+            for t in (0..n).filter(|&t| t != s) {
+                let touched = before.initial_of(s, t).is_some()
+                    && match before.walk_healed(s, t) {
+                        Ok((path, _)) => path.iter().any(|&u| u != t && affected.contains(&(u, t))),
+                        Err(_) => true,
+                    };
+                if before.dirty.contains(s, t) || affected.contains(&(s, t)) || touched {
+                    out.push((s, t));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn observe_marks_exactly_the_walk_closure_of_the_affected_pairs() {
+        let policy = RepairPolicy {
+            max_dirty_fraction: 1.0,
+            record_budget_ms: false,
+        };
+        let obs = cpr_obs::Obs::disabled();
+        let (mut partial, mut carried) = (0usize, 0usize);
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(0x0B5E_44E0 + seed);
+            let mut g = generators::gnp_connected(14, 0.2, &mut rng);
+            let mut plane = SelfHealingPlane::new(&scheme(&g), &g).unwrap();
+            let mut tracker = DeltaTracker::new(ShortestPath, &g, weigh).with_hop_tiebreak(true);
+            for step in 0..9 {
+                let g2 = churn_step(&g, &mut rng);
+                let affected = tracker.advance(&g2).affected;
+                let before = plane.clone();
+                let expect = brute_force_dirty(&before, &affected);
+                let source = DirtyPairs::Pairs(affected);
+                let report = plane.observe(&g2, DirtySource::Pairs(&source)).unwrap();
+                assert!(report.stale);
+                assert!(
+                    plane.dirty.iter().eq(expect.iter().copied()),
+                    "seed {seed} step {step}: dirty set differs from the definition"
+                );
+                assert_eq!(report.dirty_pairs, expect.len());
+                assert_eq!(plane.current_edges, PairSet::of_edges(&g2));
+                partial += usize::from(!expect.is_empty() && expect.len() < 14 * 13);
+                carried += usize::from(!before.dirty.is_empty());
+                // Every third step leaves the dirt for the next delta to
+                // fold into.
+                if step % 3 != 2 {
+                    plane
+                        .repair(&scheme(&g2), &g2, DirtySource::Walks, &policy, &obs)
+                        .unwrap();
+                    assert!(plane.dirty.is_empty());
+                }
+                g = g2;
+            }
+        }
+        assert!(partial > 20, "only {partial} partial dirty sets exercised");
+        assert!(carried > 6, "only {carried} deltas met carried-over dirt");
+    }
+
+    /// A handed-down delta is used only when it starts at the topology
+    /// the plane serves; otherwise the plane diffs for itself.
+    #[test]
+    fn handed_down_delta_is_checked_against_the_served_digest() {
+        let g = generators::cycle(6);
+        let mut g2 = g.clone();
+        g2.add_edge(0, 3).unwrap();
+        let mut g3 = g2.clone();
+        g3.add_edge(1, 4).unwrap();
+        let mut plane = SelfHealingPlane::new(&scheme(&g), &g).unwrap();
+        // g → g2 while the plane still serves g: applies.
+        let d12 = EdgeDelta::diff(&PairSet::of_edges(&g), graph_digest(&g), &g2);
+        let report = plane
+            .observe_delta(&g2, Some(&d12), DirtySource::Walks)
+            .unwrap();
+        assert_eq!(report.added_edges, vec![(0, 3)]);
+        // The same (now stale) delta offered for g3: ignored, own diff.
+        let report = plane
+            .observe_delta(&g3, Some(&d12), DirtySource::Walks)
+            .unwrap();
+        assert_eq!(report.added_edges, vec![(1, 4)]);
+        assert_eq!(plane.current_edges, PairSet::of_edges(&g3));
+        assert_eq!(plane.digest(), graph_digest(&g3));
+    }
 }

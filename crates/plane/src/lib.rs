@@ -60,6 +60,7 @@ pub mod compile;
 pub mod engine;
 pub mod heal;
 pub mod multi;
+mod pairset;
 pub mod tenant;
 pub mod workload;
 
@@ -72,8 +73,8 @@ pub use engine::{
     ServeReport, StaticCore, StretchStats,
 };
 pub use heal::{
-    DirtySource, HealthCounters, PendingWork, RepairPolicy, RepairStats, SelfHealingPlane, Served,
-    StaleReport,
+    DirtySource, EdgeDelta, HealthCounters, PendingWork, RepairPolicy, RepairStats,
+    SelfHealingPlane, Served, StaleReport,
 };
 pub use multi::{
     ClassMemory, ClassPlane, ClassRegistration, MultiBuilder, MultiMemory, MultiPlane,

@@ -14,8 +14,9 @@
 //!   classes, so e.g. all eight Table 1 destination-table classes carry
 //!   **one** initial table and **one** adjacency snapshot between them;
 //! * one topology delta produces **one** shared dirty set
-//!   ([`DirtySource::Pairs`]) distributed to every class — N classes
-//!   pay one delta analysis per churn event, not N.
+//!   ([`DirtySource::Pairs`]) distributed to every class together with
+//!   the event's [`EdgeDelta`] — N classes pay one topology diff and one
+//!   delta analysis per churn event, not N.
 //!
 //! [`MultiMemory`] reports the honest bit accounting both ways —
 //! substrate counted once ([`MultiMemory::multi_total_bits`]) vs. the
@@ -48,8 +49,9 @@ use cpr_routing::{RouteError, RoutingScheme};
 use crate::compile::{graph_digest, CompileError, ForwardingPlane};
 use crate::engine::StaticCore;
 use crate::heal::{
-    DirtySource, HealthCounters, RepairPolicy, RepairStats, SelfHealingPlane, Served,
+    DirtySource, EdgeDelta, HealthCounters, RepairPolicy, RepairStats, SelfHealingPlane, Served,
 };
+use crate::pairset::PairSet;
 use crate::tenant::{build_tenant_class, TenantClass, TenantError, MAX_CLASSES};
 
 /// One served traffic class: a self-healing plane plus the scheme
@@ -83,7 +85,8 @@ pub trait ClassPlane: Send + Sync {
 
     /// Rebuilds the live scheme from the factory for `graph`, folds the
     /// delta into this class's healing state through `source`, and
-    /// repairs the dirty pairs. [`MultiPlane::reconcile`] calls this
+    /// repairs the dirty pairs. `delta` is the event's edge delta,
+    /// computed once by [`MultiPlane::reconcile`] — which calls this
     /// only on a real delta over an unchanged node set.
     ///
     /// # Errors
@@ -92,6 +95,7 @@ pub trait ClassPlane: Send + Sync {
     fn repair(
         &mut self,
         graph: &Graph,
+        delta: &EdgeDelta,
         source: DirtySource<'_>,
         policy: &RepairPolicy,
         obs: &cpr_obs::Obs,
@@ -199,6 +203,7 @@ where
     fn repair(
         &mut self,
         graph: &Graph,
+        delta: &EdgeDelta,
         source: DirtySource<'_>,
         policy: &RepairPolicy,
         obs: &cpr_obs::Obs,
@@ -207,7 +212,7 @@ where
         // to and re-traces dirty pairs against.
         self.scheme = (self.factory)(graph);
         self.healing
-            .repair(&self.scheme, graph, source, policy, obs)
+            .repair_delta(&self.scheme, graph, Some(delta), source, policy, obs)
     }
 
     fn dirty_pairs(&self) -> usize {
@@ -831,18 +836,10 @@ impl MultiPlane {
                 graph: graph.node_count(),
             });
         }
-        let old_edges: BTreeSet<(NodeId, NodeId)> = self
-            .graph
-            .edges()
-            .map(|(_, (u, v))| (u.min(v), u.max(v)))
-            .collect();
-        let new_edges: BTreeSet<(NodeId, NodeId)> = graph
-            .edges()
-            .map(|(_, (u, v))| (u.min(v), u.max(v)))
-            .collect();
-        let removed: Vec<(NodeId, NodeId)> = old_edges.difference(&new_edges).copied().collect();
-        let added: Vec<(NodeId, NodeId)> = new_edges.difference(&old_edges).copied().collect();
-        if removed.is_empty() && added.is_empty() {
+        // One diff per event; every class takes it from here.
+        let delta = EdgeDelta::diff(&PairSet::of_edges(&self.graph), self.digest, graph);
+        let (removed, added) = (delta.removed(), delta.added());
+        if delta.is_empty() {
             return Ok(MultiRepairReport {
                 epoch: self.epoch,
                 removed_edges: 0,
@@ -856,7 +853,7 @@ impl MultiPlane {
             (DirtyPairs::All, "all")
         } else {
             let mut pairs = BTreeSet::new();
-            for &(x, y) in &removed {
+            for &(x, y) in removed {
                 for t in 0..graph.node_count() {
                     if t != x {
                         pairs.insert((x, t));
@@ -881,12 +878,12 @@ impl MultiPlane {
                 Some(oracle) => DirtySource::Oracle(oracle.as_mut()),
                 None => DirtySource::Pairs(&dirty),
             };
-            let stats = plane.repair(graph, source, policy, obs)?;
+            let stats = plane.repair(graph, &delta, source, policy, obs)?;
             class_stats.push((plane.class_name().to_string(), stats));
         }
         dedupe_substrate(&mut self.classes);
         self.graph = graph.clone();
-        self.digest = graph_digest(graph);
+        self.digest = delta.to_digest();
         self.epoch += 1;
         obs.event(
             "multi.reconcile",

@@ -4,16 +4,14 @@
 //! the heap once its [`BatchScratch`] has warmed up: every buffer —
 //! counting-sort buckets, destination-order permutation, per-query
 //! results — grows to its high-water mark on the first batch and is
-//! reused afterwards. This test swaps in a counting global allocator
-//! and asserts that serving further batches (same size, different
-//! queries) performs exactly zero allocations and deallocations.
+//! reused afterwards. This test swaps in the counting global allocator
+//! of `common` and asserts that serving further batches (same size,
+//! different queries) performs exactly zero allocations and
+//! deallocations.
 //!
 //! This file deliberately contains the only test in its binary: the
 //! counter is process-global, and a concurrently running test would
 //! perturb it.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use cpr_algebra::policies::ShortestPath;
 use cpr_graph::{generators, EdgeWeights};
@@ -22,42 +20,8 @@ use cpr_plane::{compile, BatchScratch, TrafficPattern};
 use cpr_routing::{DestTable, SrcDestTable};
 use rand::SeedableRng;
 
-/// Counts every allocation and deallocation routed through the global
-/// allocator.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A realloc may move; count it as both so a hot loop that grows
-        // a buffer cannot hide behind in-place extension.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn counts() -> (u64, u64) {
-    (
-        ALLOCS.load(Ordering::SeqCst),
-        DEALLOCS.load(Ordering::SeqCst),
-    )
-}
+mod common;
+use common::counts;
 
 #[test]
 fn lookup_batch_allocates_nothing_after_warmup() {

@@ -175,9 +175,15 @@ impl CowenScheme {
                 .collect();
             targets.sort_unstable();
             targets.dedup();
+            let hops = trees[u].first_hops();
             let entries = targets
                 .into_iter()
-                .filter_map(|t| trees[u].first_hop(graph, t).map(|(_, port)| (t, port)))
+                .filter_map(|t| {
+                    let port = graph
+                        .port_towards(u, hops[t]?)
+                        .expect("tree edge must exist in the graph");
+                    Some((t, port))
+                })
                 .collect();
             tables.push(entries);
         }

@@ -59,18 +59,35 @@ pub struct SwClassTable {
     n: usize,
     /// The distinct capacities, ascending; `classes[i]` is class `i`.
     classes: Vec<Capacity>,
-    /// `tables[class][u][t]`: port at `u` towards `t` on the cost-shortest
-    /// path within the class-`class` subgraph.
-    tables: Vec<Vec<Vec<Option<Port>>>>,
-    /// `class_of[s][t]`: the bottleneck class of the pair, stored at `s`.
-    class_of: Vec<Vec<Option<usize>>>,
+    /// `tables[(class · n + u) · n + t]`: port at `u` towards `t` on the
+    /// cost-shortest path within the class-`class` subgraph, [`NONE`]
+    /// when there is none. Flat and 32 bits per entry: the scheme is
+    /// cloned into every serving snapshot.
+    tables: Vec<u32>,
+    /// `class_of[s · n + t]`: the bottleneck class of the pair, stored at
+    /// `s`; [`NONE`] when `t` is unreachable from `s`.
+    class_of: Vec<u32>,
     degree: Vec<usize>,
+}
+
+/// The "no entry" value of the flat tables (ports and class indices are
+/// checked to stay below it at build time).
+const NONE: u32 = u32::MAX;
+
+fn narrow(v: usize) -> u32 {
+    u32::try_from(v)
+        .ok()
+        .filter(|&v| v != NONE)
+        .expect("port / class index fits 32 bits")
 }
 
 impl SwClassTable {
     /// Builds the scheme: one widest-path Dijkstra per source for the
     /// class indices, one cost-Dijkstra per (class, source) for the
-    /// tables.
+    /// tables. Each tree yields its whole row through one
+    /// [`first_hops`](cpr_paths::PreferredTree::first_hops) pass and one
+    /// neighbour → port table of the source — `O(n)` per tree, nothing
+    /// allocated per target.
     ///
     /// # Panics
     ///
@@ -85,28 +102,34 @@ impl SwClassTable {
         classes.sort_unstable();
         classes.dedup();
 
-        // Per-class filtered subgraphs and their destination tables.
-        let mut tables = Vec::with_capacity(classes.len());
-        for &b in &classes {
-            // The subgraph shares node ids but NOT port numbers with the
-            // host graph; first hops are mapped back through the host.
-            let (sub, origin) = graph.filter_edges(|e, _| weights.weight(e).0 >= b);
-            let sub_w =
-                EdgeWeights::from_vec(&sub, origin.iter().map(|&e| weights.weight(e).1).collect());
-            let per_source: Vec<Vec<Option<Port>>> = cpr_core::par::par_map_indexed(n, |s| {
-                let tree = dijkstra(&sub, &sub_w, &ShortestPath, s);
-                (0..n)
-                    .map(|t| {
-                        tree.first_hop(&sub, t).map(|(next, _)| {
-                            graph
-                                .port_towards(s, next)
-                                .expect("subgraph edge exists in host")
-                        })
-                    })
-                    .collect()
-            });
-            tables.push(per_source);
-        }
+        // Per-class filtered subgraphs. They share node ids but NOT port
+        // numbers with the host graph; first hops are mapped back
+        // through the host's ports.
+        let subgraphs: Vec<(Graph, EdgeWeights<u64>)> = classes
+            .iter()
+            .map(|&b| {
+                let (sub, origin) = graph.filter_edges(|e, _| weights.weight(e).0 >= b);
+                let sub_w = EdgeWeights::from_vec(
+                    &sub,
+                    origin.iter().map(|&e| weights.weight(e).1).collect(),
+                );
+                (sub, sub_w)
+            })
+            .collect();
+        let tables = cpr_core::par::par_map_indexed(classes.len() * n, |i| -> Vec<u32> {
+            let (class, s) = (i / n, i % n);
+            let (sub, sub_w) = &subgraphs[class];
+            let mut port_of = vec![NONE; n];
+            for (port, (next, _)) in graph.neighbors(s).enumerate() {
+                port_of[next] = narrow(port);
+            }
+            dijkstra(sub, sub_w, &ShortestPath, s)
+                .first_hops()
+                .into_iter()
+                .map(|hop| hop.map_or(NONE, |next| port_of[next]))
+                .collect()
+        })
+        .concat();
 
         // Per-pair bottleneck classes from widest-path trees.
         let caps = EdgeWeights::from_vec(
@@ -115,18 +138,21 @@ impl SwClassTable {
                 .map(|e| weights.weight(e).0)
                 .collect(),
         );
-        let class_of: Vec<Vec<Option<usize>>> = cpr_core::par::par_map_indexed(n, |s| {
+        let class_of = cpr_core::par::par_map_indexed(n, |s| -> Vec<u32> {
             let widest = dijkstra(graph, &caps, &cpr_algebra::policies::WidestPath, s);
             (0..n)
                 .map(|t| {
-                    widest.weight(t).finite().map(|b| {
-                        classes
-                            .binary_search(b)
-                            .expect("bottleneck is a distinct edge capacity")
+                    widest.weight(t).finite().map_or(NONE, |b| {
+                        narrow(
+                            classes
+                                .binary_search(b)
+                                .expect("bottleneck is a distinct edge capacity"),
+                        )
                     })
                 })
                 .collect()
-        });
+        })
+        .concat();
 
         SwClassTable {
             n,
@@ -158,22 +184,26 @@ impl RoutingScheme for SwClassTable {
         if source == target {
             return Some(SwHeader { target, class: 0 });
         }
-        self.class_of[source][target].map(|class| SwHeader { target, class })
+        match self.class_of[source * self.n + target] {
+            NONE => None,
+            class => Some(SwHeader {
+                target,
+                class: class as usize,
+            }),
+        }
     }
 
     fn step(&self, at: NodeId, header: &SwHeader) -> RouteAction<SwHeader> {
         if at == header.target {
             return RouteAction::Deliver;
         }
-        match self.tables[header.class][at][header.target] {
-            Some(port) => RouteAction::Forward {
-                port,
-                header: *header,
-            },
-            None => RouteAction::Forward {
-                port: usize::MAX, // misroute loudly
-                header: *header,
-            },
+        let port = match self.tables[(header.class * self.n + at) * self.n + header.target] {
+            NONE => usize::MAX, // misroute loudly
+            port => port as Port,
+        };
+        RouteAction::Forward {
+            port,
+            header: *header,
         }
     }
 
@@ -225,6 +255,79 @@ mod tests {
                         sw.compare_pw(&got, truth.weight(t)),
                         std::cmp::Ordering::Equal,
                         "trial {trial}: {s} → {t} suboptimal"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The build's row extraction (one `first_hops` pass + a port table
+    /// per tree) against the per-target reference it replaced: one
+    /// materialised path per (class, source, target), its second node
+    /// looked up in the host's adjacency. Every `step` and every
+    /// `initial_header` answer must be identical, including on graphs
+    /// with unreachable pairs.
+    #[test]
+    fn build_matches_per_target_path_extraction_step_for_step() {
+        use cpr_algebra::policies::WidestPath;
+        let sw = policies::shortest_widest();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(804);
+        for trial in 0..6 {
+            let n = 10 + 3 * trial;
+            let g = if trial % 2 == 0 {
+                generators::gnp(n, 1.5 / n as f64, &mut rng)
+            } else {
+                generators::barabasi_albert(n, 2, &mut rng)
+            };
+            let w = EdgeWeights::random(&g, &sw, &mut rng);
+            let scheme = SwClassTable::build(&g, &w);
+            let caps = EdgeWeights::from_fn(&g, |e| w.weight(e).0);
+            for (class, &b) in scheme.classes.iter().enumerate() {
+                let (sub, origin) = g.filter_edges(|e, _| w.weight(e).0 >= b);
+                let sub_w =
+                    EdgeWeights::from_vec(&sub, origin.iter().map(|&e| w.weight(e).1).collect());
+                for u in g.nodes() {
+                    let tree = dijkstra(&sub, &sub_w, &ShortestPath, u);
+                    for t in g.nodes() {
+                        let header = SwHeader { target: t, class };
+                        let expect = if u == t {
+                            RouteAction::Deliver
+                        } else {
+                            let port = tree
+                                .path_to(t)
+                                .and_then(|path| path.get(1).copied())
+                                .map(|next| g.port_towards(u, next).unwrap());
+                            RouteAction::Forward {
+                                port: port.unwrap_or(usize::MAX),
+                                header,
+                            }
+                        };
+                        assert_eq!(
+                            scheme.step(u, &header),
+                            expect,
+                            "trial {trial}: class {class}, {u} → {t}"
+                        );
+                    }
+                }
+            }
+            for s in g.nodes() {
+                let widest = dijkstra(&g, &caps, &WidestPath, s);
+                for t in g.nodes() {
+                    let expect = if s == t {
+                        Some(SwHeader {
+                            target: t,
+                            class: 0,
+                        })
+                    } else {
+                        widest.weight(t).finite().map(|b| SwHeader {
+                            target: t,
+                            class: scheme.classes.binary_search(b).unwrap(),
+                        })
+                    };
+                    assert_eq!(
+                        scheme.initial_header(s, t),
+                        expect,
+                        "trial {trial}: {s} → {t}"
                     );
                 }
             }
