@@ -241,6 +241,7 @@ fn differential_sweep(
             overflow += 1;
         }
     };
+    let mut arena: Vec<u32> = Vec::new();
     for s in 0..n {
         for t in 0..n {
             if s == t {
@@ -310,6 +311,29 @@ fn differential_sweep(
                         format!("{s}→{t}: master {sv:?} vs snapshot {zp:?}"),
                     ),
                 ),
+            }
+            // The request path's appending entry is the same lookup.
+            arena.clear();
+            let walked = snap.serving(class).map(|c| c.walk_into(s, t, &mut arena));
+            let same = match (&walked, &snapped) {
+                (Ok(Ok(hops)), Ok((zp, _))) => {
+                    *hops as usize + 1 == zp.len()
+                        && arena.iter().map(|&v| v as NodeId).eq(zp.iter().copied())
+                }
+                (Ok(Err(we)), Err(ze)) => we == ze && arena.is_empty(),
+                _ => false,
+            };
+            if !same {
+                push(
+                    report,
+                    violation(
+                        tag,
+                        class_name,
+                        phase,
+                        "serving-entry-divergence",
+                        format!("{s}→{t}: walk_into {walked:?} / {arena:?} vs lookup {snapped:?}"),
+                    ),
+                );
             }
             let delivered = served.as_ref().ok().map(|(p, _)| p.as_slice());
             if let Some((kind, detail)) = oracle_check(s, t, delivered) {

@@ -55,7 +55,7 @@ pub mod trace;
 
 pub use json::Json;
 pub use metrics::Histogram;
-pub use registry::{Registry, ShardMetrics};
+pub use registry::{Registry, RegistryBatch, ShardMetrics};
 pub use trace::{Span, Tracer, RING_CAPACITY, TRACE_ENV};
 
 use std::sync::OnceLock;
@@ -135,6 +135,11 @@ impl Obs {
         if self.enabled {
             self.registry.record(name, value);
         }
+    }
+
+    /// Opens a one-lock [`RegistryBatch`]; `None` when disabled.
+    pub fn batch(&self) -> Option<RegistryBatch<'_>> {
+        self.enabled.then(|| self.registry.batch())
     }
 
     /// Folds a histogram into the registry.

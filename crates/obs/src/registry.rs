@@ -122,6 +122,14 @@ impl Registry {
         }
     }
 
+    /// Opens a [`RegistryBatch`]: any number of counter and histogram
+    /// updates under **one** lock acquisition — what a request path
+    /// that tallies per frame flushes through, instead of taking the
+    /// lock once per sample.
+    pub fn batch(&self) -> RegistryBatch<'_> {
+        RegistryBatch { inner: self.lock() }
+    }
+
     /// Clears every metric.
     pub fn reset(&self) {
         let mut inner = self.lock();
@@ -175,6 +183,32 @@ fn histogram_entry<'a>(inner: &'a mut Inner, name: &str) -> &'a mut Histogram {
         inner.histograms.insert(name.to_string(), Histogram::new());
     }
     inner.histograms.get_mut(name).expect("just inserted")
+}
+
+/// A held registry lock; see [`Registry::batch`]. Updates land exactly
+/// as the same sequence of [`Registry::add`] / [`Registry::record`]
+/// calls would, so a flushed tally renders the same snapshot bytes as
+/// per-sample recording. A name the batch never touches is never
+/// created, and updating an existing name allocates nothing.
+#[derive(Debug)]
+pub struct RegistryBatch<'a> {
+    inner: std::sync::MutexGuard<'a, Inner>,
+}
+
+impl RegistryBatch<'_> {
+    /// Adds `delta` to the named counter (created at zero, like
+    /// [`Registry::add`] — also for a zero `delta`).
+    pub fn add(&mut self, name: &str, delta: u64) {
+        *counter_entry(&mut self.inner, name) += delta;
+    }
+
+    /// Records `n` occurrences of `value` into the named histogram;
+    /// `n == 0` records nothing and creates nothing.
+    pub fn record_n(&mut self, name: &str, value: u64, n: u64) {
+        if n > 0 {
+            histogram_entry(&mut self.inner, name).record_n(value, n);
+        }
+    }
 }
 
 /// Lock-free per-worker metrics, recorded inside one parallel worker and
@@ -256,6 +290,55 @@ mod tests {
             reg.render_json().to_compact()
         };
         assert_eq!(build(&[0, 1, 2]), build(&[2, 0, 1]));
+    }
+
+    #[test]
+    fn names_a_batch_never_touches_are_absent_from_the_snapshot() {
+        // Keys resolved ahead of time are plain strings: holding one
+        // (or flushing a zero tally for it) must not render an entry.
+        let (delivered, failed, hops) = ("c.delivered", "c.failed", "c.hops");
+        let reg = Registry::new();
+        {
+            let mut batch = reg.batch();
+            batch.add(delivered, 3);
+            batch.record_n(hops, 7, 0);
+        }
+        assert_eq!(
+            reg.render_json().to_compact(),
+            r#"{"counters":{"c.delivered":3},"gauges":{},"histograms":{}}"#
+        );
+        assert_eq!(reg.counter(failed), 0);
+        assert_eq!(reg.histogram(hops), None);
+    }
+
+    #[test]
+    fn a_flushed_tally_renders_the_same_bytes_as_single_records() {
+        let samples = [3u64, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5];
+        let single = Registry::new();
+        for &v in &samples {
+            single.incr("q.delivered");
+            single.record("q.hops", v);
+        }
+        single.add("q.queries", samples.len() as u64);
+
+        // The same samples tallied into a value-indexed table first.
+        let mut table = [0u64; 10];
+        for &v in &samples {
+            table[v as usize] += 1;
+        }
+        let flushed = Registry::new();
+        {
+            let mut batch = flushed.batch();
+            batch.add("q.queries", samples.len() as u64);
+            batch.add("q.delivered", samples.len() as u64);
+            for (value, &n) in table.iter().enumerate() {
+                batch.record_n("q.hops", value as u64, n);
+            }
+        }
+        assert_eq!(
+            flushed.render_json().to_compact(),
+            single.render_json().to_compact()
+        );
     }
 
     #[test]

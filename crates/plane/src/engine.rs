@@ -111,8 +111,10 @@ impl CoreLayout {
 /// `Arc` instead of a borrow of the plane — a multi-algebra serving
 /// snapshot carries one `StaticCore` per traffic class across epoch
 /// swaps without tying the snapshot's lifetime to the master plane.
-/// Walks allocate only the returned path vector; the per-hop decisions
-/// are two sequential `u32` loads, identical to the batched core.
+/// [`walk`](StaticCore::walk) allocates only the returned path vector
+/// and [`walk_into`](StaticCore::walk_into) nothing; the per-hop
+/// decisions are two sequential `u32` loads, identical to the batched
+/// core.
 #[derive(Clone)]
 pub struct StaticCore {
     n: usize,
@@ -122,6 +124,24 @@ pub struct StaticCore {
     hop_budget: usize,
     initial: Arc<PackedArray>,
     layout: CoreLayout,
+}
+
+/// Why [`StaticCore::walk_each`] stopped short of delivery.
+enum WalkStop {
+    /// An invalid state — the flat core collapses bad ports into the
+    /// invalid sentinel at decode time.
+    Unroutable,
+    /// The hop budget ran out.
+    Exhausted,
+}
+
+impl WalkStop {
+    fn into_error(self, source: NodeId, target: NodeId, visited: Vec<NodeId>) -> RouteError {
+        match self {
+            WalkStop::Unroutable => RouteError::Unroutable { source, target },
+            WalkStop::Exhausted => RouteError::HopBudgetExhausted { visited },
+        }
+    }
 }
 
 impl StaticCore {
@@ -158,6 +178,39 @@ impl StaticCore {
         }
     }
 
+    /// The one walk loop of the owned core: from `source` carrying the
+    /// initial header `hid`, hands every visited node, source first, to
+    /// `visit` and returns the hop count. The caller resolves
+    /// [`initial_id`](Self::initial_id), so a pair with no initial
+    /// header costs neither a visit nor whatever `visit` writes into.
+    #[inline(always)]
+    fn walk_each(
+        &self,
+        source: NodeId,
+        mut hid: u32,
+        mut visit: impl FnMut(u32),
+    ) -> Result<u32, WalkStop> {
+        let mut at = source as u32;
+        let mut hops = 0u32;
+        visit(at);
+        loop {
+            let (nn, nh) = self.layout.step(self.n, at, hid);
+            if nn == CORE_DELIVER {
+                return Ok(hops);
+            }
+            if nn >= CORE_INVALID {
+                return Err(WalkStop::Unroutable);
+            }
+            at = nn;
+            hid = nh;
+            hops += 1;
+            visit(at);
+            if hops as usize >= self.hop_budget {
+                return Err(WalkStop::Exhausted);
+            }
+        }
+    }
+
     /// Replays `source → target` through the flat core and returns the
     /// full node sequence — the owned-core analogue of
     /// [`ForwardingPlane::walk`], byte-identical on every input.
@@ -165,33 +218,45 @@ impl StaticCore {
     /// # Errors
     ///
     /// Returns the same [`RouteError`]s the plane walk would: an
-    /// unroutable pair (also covering invalid states — the flat core
-    /// collapses bad ports into the invalid sentinel at decode time) or
-    /// hop-budget exhaustion.
+    /// unroutable pair (also covering invalid states) or hop-budget
+    /// exhaustion.
     pub fn walk(&self, source: NodeId, target: NodeId) -> Result<Vec<NodeId>, RouteError> {
-        let Some(mut hid) = self.initial_id(source, target) else {
+        let Some(hid) = self.initial_id(source, target) else {
             return Err(RouteError::Unroutable { source, target });
         };
-        let mut at = source as u32;
         let mut visited = Vec::with_capacity(
             (4 * (usize::BITS - self.n.leading_zeros()) as usize + 8).min(self.hop_budget + 1),
         );
-        visited.push(source);
-        loop {
-            let (nn, nh) = self.layout.step(self.n, at, hid);
-            if nn == CORE_DELIVER {
-                return Ok(visited);
-            }
-            if nn >= CORE_INVALID {
-                return Err(RouteError::Unroutable { source, target });
-            }
-            at = nn;
-            hid = nh;
-            visited.push(at as NodeId);
-            if visited.len() > self.hop_budget {
-                return Err(RouteError::HopBudgetExhausted { visited });
-            }
+        match self.walk_each(source, hid, |v| visited.push(v as NodeId)) {
+            Ok(_) => Ok(visited),
+            Err(stop) => Err(stop.into_error(source, target, visited)),
         }
+    }
+
+    /// [`walk`](Self::walk), appending the node sequence to `out` as
+    /// wire-width ids and returning the hop count — no allocation once
+    /// `out` has reached its high-water capacity, which is what lets a
+    /// serving worker walk a whole batch into one reused arena.
+    ///
+    /// # Errors
+    ///
+    /// As [`walk`](Self::walk); on error `out` is left exactly as it
+    /// was passed in.
+    pub fn walk_into(
+        &self,
+        source: NodeId,
+        target: NodeId,
+        out: &mut Vec<u32>,
+    ) -> Result<u32, RouteError> {
+        let Some(hid) = self.initial_id(source, target) else {
+            return Err(RouteError::Unroutable { source, target });
+        };
+        let start = out.len();
+        self.walk_each(source, hid, |v| out.push(v))
+            .map_err(|stop| {
+                let visited = out.drain(start..).map(|v| v as NodeId).collect();
+                stop.into_error(source, target, visited)
+            })
     }
 }
 
@@ -775,6 +840,56 @@ mod tests {
             .iter()
             .all(|f| matches!(f.error, RouteError::Unroutable { .. })));
         assert!(report.to_string().contains("2 failed"));
+    }
+
+    #[test]
+    fn walk_into_appends_exactly_what_walk_returns() {
+        let (g, plane) = plane_on_gnp(25, 21);
+        let core = plane.static_core();
+        let mut out = vec![u32::MAX];
+        for s in g.nodes() {
+            for t in g.nodes().filter(|&t| t != s) {
+                let path = core.walk(s, t).unwrap();
+                out.truncate(1);
+                let hops = core.walk_into(s, t, &mut out).unwrap();
+                assert_eq!(hops as usize, path.len() - 1);
+                assert_eq!(out[0], u32::MAX, "walk_into overwrote the arena");
+                assert!(out[1..].iter().map(|&v| v as NodeId).eq(path));
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_walk_into_leaves_the_arena_as_it_was() {
+        let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
+        let w = EdgeWeights::uniform(&g, 1u64);
+        let plane = compile(&DestTable::build(&g, &w, &ShortestPath), &g).unwrap();
+        let mut out = vec![7, 8];
+        assert_eq!(
+            plane.static_core().walk_into(0, 2, &mut out),
+            Err(RouteError::Unroutable {
+                source: 0,
+                target: 2
+            })
+        );
+        assert_eq!(out, [7, 8]);
+
+        // Out of hops mid-route: the error carries the nodes visited,
+        // as `walk` reports them, and the arena is rolled back.
+        let (g, plane) = plane_on_gnp(25, 22);
+        let mut core = plane.static_core();
+        let (s, t) = g
+            .nodes()
+            .flat_map(|s| g.nodes().map(move |t| (s, t)))
+            .find(|&(s, t)| core.walk(s, t).is_ok_and(|p| p.len() > 2))
+            .expect("a route of two hops or more");
+        core.hop_budget = 1;
+        let exhausted = core.walk(s, t).unwrap_err();
+        assert!(
+            matches!(&exhausted, RouteError::HopBudgetExhausted { visited } if visited.len() == 2)
+        );
+        assert_eq!(core.walk_into(s, t, &mut out), Err(exhausted));
+        assert_eq!(out, [7, 8]);
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub use heal::{
     SelfHealingPlane, Served, StaleReport,
 };
 pub use multi::{
-    ClassMemory, ClassPlane, ClassRegistration, MultiBuilder, MultiMemory, MultiPlane,
-    MultiRepairReport, MultiSnapshot, TypedClassPlane,
+    ClassMemory, ClassMiss, ClassPlane, ClassRegistration, MultiBuilder, MultiMemory, MultiPlane,
+    MultiRepairReport, MultiSnapshot, ServingClass, TypedClassPlane,
 };
 pub use tenant::{
     build_tenant_class, dyn_edge_weights, sw_edge_weights, TenantClass, TenantError, MAX_CLASSES,

@@ -576,6 +576,26 @@ impl MultiSnapshot {
         })
     }
 
+    /// Resolves a wire-supplied class id to its serving class — the
+    /// non-panicking entry of the request path: an id outside the
+    /// registry or naming a deregistered slot is a typed [`ClassMiss`].
+    /// Resolve once per request, then route every pair through the
+    /// returned [`ServingClass`].
+    ///
+    /// # Errors
+    ///
+    /// [`ClassMiss`] when `class` does not serve.
+    pub fn serving(&self, class: usize) -> Result<ServingClass<'_>, ClassMiss> {
+        match self.classes.get(class) {
+            Some(SnapSlot::Live(served)) => Ok(ServingClass {
+                graph: &self.graph,
+                served,
+            }),
+            Some(SnapSlot::Retired(_)) => Err(ClassMiss::Retired),
+            None => Err(ClassMiss::OutOfRange),
+        }
+    }
+
     /// Routes `source → target` in traffic class `class`: through the
     /// class's flat [`StaticCore`] when its base plane is pristine,
     /// otherwise through the healed patch-over-base walk with live-edge
@@ -587,22 +607,64 @@ impl MultiSnapshot {
     ///
     /// # Panics
     ///
-    /// Panics when `class` is out of range or retired — the serving
-    /// layer validates the wire-supplied class id (range **and**
-    /// liveness, via [`class_live`](Self::class_live)) before calling.
+    /// Panics when `class` is out of range or retired; a caller holding
+    /// an unchecked id uses [`serving`](Self::serving) instead.
     pub fn lookup(
         &self,
         class: usize,
         source: NodeId,
         target: NodeId,
     ) -> Result<(Vec<NodeId>, Served), RouteError> {
-        let c = match &self.classes[class] {
-            SnapSlot::Live(c) => c,
-            SnapSlot::Retired(name) => panic!("class {class} (`{name}`) is retired"),
+        let c = match self.serving(class) {
+            Ok(c) => c.served,
+            Err(miss) => panic!("class {class} does not serve: {miss:?}"),
         };
         match &c.core {
             Some(core) => core.walk(source, target).map(|p| (p, Served::Compiled)),
             None => c.plane.lookup(&self.graph, source, target),
+        }
+    }
+}
+
+/// Why a class id does not serve in a [`MultiSnapshot`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClassMiss {
+    /// The id is past the last slot of the registry.
+    OutOfRange,
+    /// The slot is a deregistered tombstone.
+    Retired,
+}
+
+/// One live class of a [`MultiSnapshot`]; see
+/// [`MultiSnapshot::serving`].
+pub struct ServingClass<'s> {
+    graph: &'s Graph,
+    served: &'s SnapshotClass,
+}
+
+impl ServingClass<'_> {
+    /// [`MultiSnapshot::lookup`] appending the node sequence to `out`
+    /// as wire-width ids and returning the hop count: through
+    /// [`StaticCore::walk_into`] — no allocation — when the class is on
+    /// its core, through the healed walk otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SelfHealingPlane::lookup`]; on error `out` is left as
+    /// it was passed in.
+    pub fn walk_into(
+        &self,
+        source: NodeId,
+        target: NodeId,
+        out: &mut Vec<u32>,
+    ) -> Result<u32, RouteError> {
+        match &self.served.core {
+            Some(core) => core.walk_into(source, target, out),
+            None => {
+                let (path, _) = self.served.plane.lookup(self.graph, source, target)?;
+                out.extend(path.iter().map(|&v| v as u32));
+                Ok(path.len().saturating_sub(1) as u32)
+            }
         }
     }
 }

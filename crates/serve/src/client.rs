@@ -1,11 +1,11 @@
 //! A blocking client for the serve protocol.
 
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::proto::{
-    read_frame, write_frame, ProtoError, Request, Response, RouteOutcome, StatsSnapshot,
+    frame_into, FrameReader, ProtoError, Request, Response, RouteOutcome, StatsSnapshot,
     DEFAULT_MAX_FRAME,
 };
 
@@ -52,10 +52,14 @@ impl From<io::Error> for ClientError {
 }
 
 /// One blocking connection: requests go out, responses come back, in
-/// order, one at a time.
+/// order — one at a time ([`call`](Self::call)) or a burst at a time
+/// ([`call_pipelined`](Self::call_pipelined)).
 pub struct RouteClient {
     stream: TcpStream,
-    max_frame: u32,
+    reader: FrameReader,
+    /// Reused send buffer: a call's frames are built here and leave in
+    /// one `write`.
+    out: Vec<u8>,
 }
 
 impl RouteClient {
@@ -69,8 +73,26 @@ impl RouteClient {
         stream.set_nodelay(true)?;
         Ok(RouteClient {
             stream,
-            max_frame: DEFAULT_MAX_FRAME,
+            reader: FrameReader::new(DEFAULT_MAX_FRAME),
+            out: Vec::new(),
         })
+    }
+
+    fn send(&mut self, requests: &[Request]) -> Result<(), ClientError> {
+        self.out.clear();
+        for request in requests {
+            frame_into(&mut self.out, |body| request.encode_into(body));
+        }
+        Ok(self.stream.write_all(&self.out)?)
+    }
+
+    fn receive(&mut self) -> Result<Response, ClientError> {
+        match self.reader.read(&mut self.stream, None)? {
+            Some(body) => Ok(Response::decode(body)?),
+            None => Err(ClientError::Proto(ProtoError::Io(
+                io::ErrorKind::UnexpectedEof,
+            ))),
+        }
     }
 
     /// Sends one request and reads one response — the raw exchange the
@@ -81,13 +103,23 @@ impl RouteClient {
     /// [`ClientError::Proto`] on wire failure; an `Error` frame is
     /// returned as a normal [`Response::Error`], not an `Err`.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, &request.encode()).map_err(ProtoError::from)?;
-        match read_frame(&mut self.stream, self.max_frame)? {
-            Some(body) => Ok(Response::decode(&body)?),
-            None => Err(ClientError::Proto(ProtoError::Io(
-                io::ErrorKind::UnexpectedEof,
-            ))),
-        }
+        self.send(std::slice::from_ref(request))?;
+        self.receive()
+    }
+
+    /// Sends every request of `requests` in one write, then reads the
+    /// replies — the server answers pipelined frames in order, so reply
+    /// `i` answers request `i`. All requests are written before any
+    /// reply is read: keep a burst (and its replies) within what the
+    /// socket buffers hold, or both ends block on a full buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`call`](Self::call); after an error the connection is out of
+    /// step and must be dropped.
+    pub fn call_pipelined(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
+        self.send(requests)?;
+        requests.iter().map(|_| self.receive()).collect()
     }
 
     fn reject(response: Response, want: &'static str) -> ClientError {

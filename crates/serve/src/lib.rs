@@ -6,7 +6,10 @@
 //! daemon speaking a small length-prefixed binary protocol ([`proto`]) —
 //! and keeps it *honest under churn* with an RCU-style epoch swap:
 //!
-//! * The data path ([`MultiRouteService::answer`]) loads the current
+//! * The data path ([`MultiRouteService::answer_frame`] on a
+//!   connection — request bytes in, reply bytes out, no allocation —
+//!   and [`MultiRouteService::answer`], the decoded adapter over the
+//!   same routing body) loads the current
 //!   [`MultiSnapshot`](cpr_plane::MultiSnapshot) from an [`EpochCell`]
 //!   (an `Arc` clone under an uncontended read lock) and walks the
 //!   compiled plane of the request's traffic class. Every response
@@ -70,6 +73,6 @@ pub mod server;
 pub use client::{ClientError, RouteClient};
 pub use epoch::EpochCell;
 pub use loadgen::{run_load, Answer, LoadConfig, LoadReport};
-pub use multi::{MultiRouteService, MultiSwapReport};
+pub use multi::{ConnScratch, MultiRouteService, MultiSwapReport};
 pub use proto::{ProtoError, Request, Response, RouteOutcome, StatsSnapshot};
 pub use server::{RouteServer, ServeConfig};

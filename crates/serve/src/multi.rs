@@ -18,10 +18,14 @@
 //! the core at swap time), and through the healed patch-over-base walk
 //! otherwise — identical answers, pinned by the conformance suite.
 //!
-//! Per-class observability: every query increments
+//! Per-class observability: every query counts into
 //! `serve.class.{name}.queries` plus one of `.delivered`,
 //! `.unroutable`, `.failed`, and delivered hop counts land in the
-//! `serve.class.{name}.hops` histogram.
+//! `serve.class.{name}.hops` histogram. A frame tallies its pairs
+//! locally and flushes once, under metric names built when the snapshot
+//! was published — the request path formats no string and takes the
+//! registry lock once per frame, and the registry renders exactly what
+//! per-pair recording would.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,13 +35,15 @@ use std::time::Instant;
 use cpr_graph::Graph;
 use cpr_obs::{Json, Obs};
 use cpr_plane::multi::MultiRepairReport;
-use cpr_plane::{CompileError, MultiBuilder, MultiPlane, MultiSnapshot, RepairPolicy, TenantError};
+use cpr_plane::{
+    ClassMiss, CompileError, MultiBuilder, MultiPlane, MultiSnapshot, RepairPolicy, TenantError,
+};
 use cpr_routing::RouteError;
 
 use crate::epoch::EpochCell;
 use crate::proto::{
-    Request, Response, RouteOutcome, StatsSnapshot, ERR_BAD_REQUEST, ERR_INADMISSIBLE,
-    ERR_INTERNAL, ERR_PROTO,
+    self, ProtoError, Request, Response, RouteOutcome, StatsSnapshot, ERR_BAD_REQUEST,
+    ERR_INADMISSIBLE, ERR_INTERNAL, ERR_PROTO,
 };
 use crate::server::ServeConfig;
 
@@ -54,11 +60,173 @@ pub struct MultiSwapReport {
     pub repair: Option<MultiRepairReport>,
 }
 
+/// What one swap publishes: the snapshot and the metric names its
+/// queries record under, so a reader that loads one sees both.
+struct Published {
+    snapshot: Arc<MultiSnapshot>,
+    /// `serve.queries.epoch.{N}`.
+    epoch_queries: String,
+    /// Per class slot, in wire class-id order.
+    class_keys: Vec<ClassKeys>,
+}
+
+/// The `serve.class.{name}.*` metric names of one class.
+struct ClassKeys {
+    queries: String,
+    delivered: String,
+    unroutable: String,
+    failed: String,
+    hops: String,
+}
+
+impl Published {
+    fn new(snapshot: MultiSnapshot) -> Arc<Self> {
+        let class_keys = (0..snapshot.class_count())
+            .map(|c| {
+                let name = snapshot.class_name(c);
+                ClassKeys {
+                    queries: format!("serve.class.{name}.queries"),
+                    delivered: format!("serve.class.{name}.delivered"),
+                    unroutable: format!("serve.class.{name}.unroutable"),
+                    failed: format!("serve.class.{name}.failed"),
+                    hops: format!("serve.class.{name}.hops"),
+                }
+            })
+            .collect();
+        Arc::new(Published {
+            epoch_queries: format!("serve.queries.epoch.{}", snapshot.epoch()),
+            class_keys,
+            snapshot: Arc::new(snapshot),
+        })
+    }
+}
+
+/// Per-connection working storage of the request path
+/// ([`MultiRouteService::answer_frame`]): buffers grow to their
+/// high-water mark on the first frames and are reused allocation-free
+/// afterwards.
+#[derive(Default)]
+pub struct ConnScratch {
+    /// The decoded pairs of the frame being answered.
+    pairs: Vec<(u32, u32)>,
+    tally: FrameTally,
+}
+
+/// What one frame's pairs did, held until the per-frame flush.
+#[derive(Default)]
+struct FrameTally {
+    /// The path being walked; cleared per pair.
+    path: Vec<u32>,
+    delivered: u64,
+    unroutable: u64,
+    failed: u64,
+    /// Delivered pairs by hop count: `hops[h]` pairs took `h` hops.
+    hops: Vec<u64>,
+}
+
+impl FrameTally {
+    fn delivered(&mut self, hops: u32) {
+        let hops = hops as usize;
+        if hops >= self.hops.len() {
+            self.hops.resize(hops + 1, 0);
+        }
+        self.hops[hops] += 1;
+        self.delivered += 1;
+    }
+}
+
+/// Where the one routing body ([`MultiRouteService::route`]) puts what
+/// it finds: wire bytes for a connection, a [`Response`] for
+/// [`MultiRouteService::answer`].
+trait ReplySink {
+    /// The request is refused; nothing else follows.
+    fn error(&mut self, code: u8, message: String);
+    /// The request is served at `epoch`: one outcome follows for a
+    /// `Lookup` (`batch` = `None`), `count` for a `Batch`.
+    fn begin(&mut self, epoch: u64, batch: Option<usize>);
+    fn path(&mut self, nodes: &[u32]);
+    fn unroutable(&mut self);
+    fn failed(&mut self, message: String);
+}
+
+/// Encodes the reply body straight into the connection's output buffer.
+struct WireSink<'a>(&'a mut Vec<u8>);
+
+impl ReplySink for WireSink<'_> {
+    fn error(&mut self, code: u8, message: String) {
+        Response::Error { code, message }.encode_into(self.0);
+    }
+
+    fn begin(&mut self, epoch: u64, batch: Option<usize>) {
+        match batch {
+            Some(count) => proto::put_batch_head(self.0, epoch, count),
+            None => proto::put_route_head(self.0, epoch),
+        }
+    }
+
+    fn path(&mut self, nodes: &[u32]) {
+        proto::put_path(self.0, nodes);
+    }
+
+    fn unroutable(&mut self) {
+        proto::put_unroutable(self.0);
+    }
+
+    fn failed(&mut self, message: String) {
+        proto::put_failed(self.0, &message);
+    }
+}
+
+/// Collects the reply as a decoded [`Response`].
+struct ResponseSink(Option<Response>);
+
+impl ResponseSink {
+    fn outcome(&mut self, outcome: RouteOutcome) {
+        match &mut self.0 {
+            Some(Response::Batch { outcomes, .. }) => outcomes.push(outcome),
+            Some(Response::Route { outcome: slot, .. }) => *slot = outcome,
+            _ => unreachable!("outcomes follow `begin`"),
+        }
+    }
+}
+
+impl ReplySink for ResponseSink {
+    fn error(&mut self, code: u8, message: String) {
+        self.0 = Some(Response::Error { code, message });
+    }
+
+    fn begin(&mut self, epoch: u64, batch: Option<usize>) {
+        self.0 = Some(match batch {
+            Some(count) => Response::Batch {
+                epoch,
+                outcomes: Vec::with_capacity(count),
+            },
+            // Placeholder until the one outcome arrives.
+            None => Response::Route {
+                epoch,
+                outcome: RouteOutcome::Unroutable,
+            },
+        });
+    }
+
+    fn path(&mut self, nodes: &[u32]) {
+        self.outcome(RouteOutcome::Path(nodes.to_vec()));
+    }
+
+    fn unroutable(&mut self) {
+        self.outcome(RouteOutcome::Unroutable);
+    }
+
+    fn failed(&mut self, message: String) {
+        self.outcome(RouteOutcome::Failed(message));
+    }
+}
+
 /// The serving state; see the module docs.
 pub struct MultiRouteService {
     config: ServeConfig,
     master: Mutex<MultiPlane>,
-    cell: EpochCell<MultiSnapshot>,
+    cell: EpochCell<Published>,
     obs: Obs,
     queries: AtomicU64,
     delivered: AtomicU64,
@@ -88,7 +256,7 @@ impl MultiRouteService {
         Ok(MultiRouteService {
             config,
             master: Mutex::new(master),
-            cell: EpochCell::new(Arc::new(snapshot)),
+            cell: EpochCell::new(Published::new(snapshot)),
             obs,
             queries: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
@@ -114,7 +282,7 @@ impl MultiRouteService {
     /// atomically with the data they name (a retired slot keeps its
     /// last name).
     pub fn class_names(&self) -> Vec<String> {
-        let snap = self.cell.load();
+        let snap = self.current();
         (0..snap.class_count())
             .map(|c| snap.class_name(c).to_string())
             .collect()
@@ -122,7 +290,7 @@ impl MultiRouteService {
 
     /// The current serving snapshot.
     pub fn current(&self) -> Arc<MultiSnapshot> {
-        self.cell.load()
+        Arc::clone(&self.cell.load().snapshot)
     }
 
     /// The shared-substrate bit accounting of the master plane
@@ -231,7 +399,8 @@ impl MultiRouteService {
     }
 
     /// The one swap tail of every control-path operation: snapshot the
-    /// master, release it, publish the snapshot with one atomic store,
+    /// master, release it, publish the snapshot (and the metric names
+    /// its queries will record under) with one atomic store,
     /// then count the swap and emit `event` (`epoch`, `fields`, and the
     /// wall-clock since `started` — tracer only, never the registry).
     /// Returns the published `(epoch, digest)`.
@@ -247,7 +416,7 @@ impl MultiRouteService {
         let snapshot = master.snapshot();
         let (epoch, digest) = (snapshot.epoch(), snapshot.digest());
         drop(master);
-        self.cell.store(Arc::new(snapshot));
+        self.cell.store(Published::new(snapshot));
         self.swaps.fetch_add(1, Ordering::Relaxed);
         self.obs.incr("serve.swaps");
         self.obs.set_gauge("serve.epoch", epoch as i64);
@@ -259,91 +428,169 @@ impl MultiRouteService {
         (epoch, digest)
     }
 
-    fn class_of(&self, snap: &MultiSnapshot, class: u8) -> Result<usize, Response> {
-        let idx = class as usize;
-        if idx >= snap.class_count() {
-            self.obs.incr("serve.proto_errors");
-            return Err(Response::Error {
-                code: ERR_PROTO,
-                message: format!(
-                    "traffic class {class} out of range: {} classes served",
-                    snap.class_count()
-                ),
-            });
-        }
-        if !snap.class_live(idx) {
-            self.obs.incr("serve.proto_errors");
-            return Err(Response::Error {
-                code: ERR_BAD_REQUEST,
-                message: format!(
-                    "traffic class {class} (`{}`) is deregistered",
-                    snap.class_name(idx)
-                ),
-            });
-        }
-        Ok(idx)
-    }
-
-    fn route_one(
+    /// The one routing-and-recording body of `Lookup` and `Batch`:
+    /// one snapshot load, one walk per pair handed to `sink`, one
+    /// metrics flush. Epoch consistency is per request — every pair is
+    /// answered against the snapshot loaded here, and the reply carries
+    /// that epoch.
+    fn route(
         &self,
-        snap: &MultiSnapshot,
-        class: usize,
-        source: u32,
-        target: u32,
-    ) -> RouteOutcome {
-        let name = snap.class_name(class);
+        batch: bool,
+        class: u8,
+        pairs: &[(u32, u32)],
+        tally: &mut FrameTally,
+        sink: &mut impl ReplySink,
+    ) {
+        let published = self.cell.load();
+        let snap = &*published.snapshot;
+        let class = usize::from(class);
+        let serving = match snap.serving(class) {
+            Ok(serving) => serving,
+            Err(miss) => {
+                self.obs.incr("serve.proto_errors");
+                let (code, message) = match miss {
+                    ClassMiss::OutOfRange => (
+                        ERR_PROTO,
+                        format!(
+                            "traffic class {class} out of range: {} classes served",
+                            snap.class_count()
+                        ),
+                    ),
+                    ClassMiss::Retired => (
+                        ERR_BAD_REQUEST,
+                        format!(
+                            "traffic class {class} (`{}`) is deregistered",
+                            snap.class_name(class)
+                        ),
+                    ),
+                };
+                return sink.error(code, message);
+            }
+        };
+        if batch && pairs.len() > self.config.max_batch as usize {
+            return sink.error(
+                ERR_BAD_REQUEST,
+                format!(
+                    "batch of {} pairs exceeds cap of {}",
+                    pairs.len(),
+                    self.config.max_batch
+                ),
+            );
+        }
+        sink.begin(snap.epoch(), batch.then_some(pairs.len()));
         let n = snap.graph().node_count();
-        if source as usize >= n || target as usize >= n {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-            self.obs.incr(&format!("serve.class.{name}.failed"));
-            return RouteOutcome::Failed(format!(
-                "node id out of range: ({source}, {target}) on {n} nodes"
-            ));
-        }
-        if source == target {
-            self.delivered.fetch_add(1, Ordering::Relaxed);
-            self.obs.incr(&format!("serve.class.{name}.delivered"));
-            self.obs.record(&format!("serve.class.{name}.hops"), 0);
-            return RouteOutcome::Path(vec![source]);
-        }
-        match snap.lookup(class, source as usize, target as usize) {
-            Ok((path, _served)) => {
-                self.delivered.fetch_add(1, Ordering::Relaxed);
-                self.obs.incr(&format!("serve.class.{name}.delivered"));
-                self.obs.record(
-                    &format!("serve.class.{name}.hops"),
-                    path.len().saturating_sub(1) as u64,
-                );
-                RouteOutcome::Path(path.into_iter().map(|v| v as u32).collect())
+        for &(source, target) in pairs {
+            if source as usize >= n || target as usize >= n {
+                tally.failed += 1;
+                sink.failed(format!(
+                    "node id out of range: ({source}, {target}) on {n} nodes"
+                ));
+                continue;
             }
-            Err(RouteError::Unroutable { .. }) => {
-                self.unroutable.fetch_add(1, Ordering::Relaxed);
-                self.obs.incr(&format!("serve.class.{name}.unroutable"));
-                RouteOutcome::Unroutable
+            tally.path.clear();
+            if source == target {
+                tally.path.push(source);
+                tally.delivered(0);
+                sink.path(&tally.path);
+                continue;
             }
-            Err(e) => {
-                self.failed.fetch_add(1, Ordering::Relaxed);
-                self.obs.incr(&format!("serve.class.{name}.failed"));
-                RouteOutcome::Failed(e.to_string())
+            match serving.walk_into(source as usize, target as usize, &mut tally.path) {
+                Ok(hops) => {
+                    tally.delivered(hops);
+                    sink.path(&tally.path);
+                }
+                Err(RouteError::Unroutable { .. }) => {
+                    tally.unroutable += 1;
+                    sink.unroutable();
+                }
+                Err(e) => {
+                    tally.failed += 1;
+                    sink.failed(e.to_string());
+                }
             }
         }
+        self.flush(&published, class, pairs.len() as u64, tally);
     }
 
-    fn count_queries(&self, snap: &MultiSnapshot, class: usize, n: u64) {
-        let epoch = snap.epoch();
-        self.queries.fetch_add(n, Ordering::Relaxed);
+    /// Folds one frame's tally into the service counters and the
+    /// registry — once per frame, one registry lock — and clears it. A
+    /// zero tally touches no `.delivered` / `.unroutable` / `.failed` /
+    /// `.hops` entry, so none renders that per-pair recording would not
+    /// have created.
+    fn flush(&self, published: &Published, class: usize, queries: u64, tally: &mut FrameTally) {
+        self.queries.fetch_add(queries, Ordering::Relaxed);
+        self.delivered.fetch_add(tally.delivered, Ordering::Relaxed);
+        self.unroutable
+            .fetch_add(tally.unroutable, Ordering::Relaxed);
+        self.failed.fetch_add(tally.failed, Ordering::Relaxed);
         *self
             .epoch_queries
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .entry(epoch)
-            .or_insert(0) += n;
-        self.obs.add("serve.queries", n);
-        self.obs.add(
-            &format!("serve.class.{}.queries", snap.class_name(class)),
-            n,
-        );
-        self.obs.add(&format!("serve.queries.epoch.{epoch}"), n);
+            .entry(published.snapshot.epoch())
+            .or_insert(0) += queries;
+        if let Some(mut registry) = self.obs.batch() {
+            let keys = &published.class_keys[class];
+            registry.add("serve.queries", queries);
+            registry.add(&keys.queries, queries);
+            registry.add(&published.epoch_queries, queries);
+            for (key, count) in [
+                (&keys.delivered, tally.delivered),
+                (&keys.unroutable, tally.unroutable),
+                (&keys.failed, tally.failed),
+            ] {
+                if count > 0 {
+                    registry.add(key, count);
+                }
+            }
+            for (hops, &count) in tally.hops.iter().enumerate() {
+                registry.record_n(&keys.hops, hops as u64, count);
+            }
+        }
+        (tally.delivered, tally.unroutable, tally.failed) = (0, 0, 0);
+        tally.hops.fill(0);
+    }
+
+    /// The data path of a connection: answers the request in frame body
+    /// `body` by appending the complete reply **frame** (length prefix
+    /// included) to `out`. `Lookup` and `Batch` are decoded into
+    /// `scratch`, routed and encoded without allocating once `scratch`
+    /// and `out` are warm; every other opcode goes through
+    /// [`answer`](Self::answer). The appended bytes are exactly
+    /// `write_frame(answer(&Request::decode(body)?).encode())`.
+    ///
+    /// # Errors
+    ///
+    /// The [`ProtoError`] of a body that does not decode; nothing is
+    /// appended.
+    pub fn answer_frame(
+        &self,
+        body: &[u8],
+        scratch: &mut ConnScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ProtoError> {
+        match proto::decode_query(body, &mut scratch.pairs)? {
+            Some((batch, class)) => proto::frame_into(out, |reply| {
+                self.route(
+                    batch,
+                    class,
+                    &scratch.pairs,
+                    &mut scratch.tally,
+                    &mut WireSink(reply),
+                );
+            }),
+            None => {
+                let response = self.answer(&Request::decode(body)?);
+                proto::frame_into(out, |reply| response.encode_into(reply));
+            }
+        }
+        Ok(())
+    }
+
+    fn answer_query(&self, batch: bool, class: u8, pairs: &[(u32, u32)]) -> Response {
+        let mut sink = ResponseSink(None);
+        self.route(batch, class, pairs, &mut FrameTally::default(), &mut sink);
+        sink.0.expect("`route` always replies")
     }
 
     /// The data path: answer one decoded request. Epoch consistency is
@@ -355,43 +602,8 @@ impl MultiRouteService {
                 source,
                 target,
                 class,
-            } => {
-                let snap = self.cell.load();
-                let class = match self.class_of(&snap, *class) {
-                    Ok(c) => c,
-                    Err(resp) => return resp,
-                };
-                self.count_queries(&snap, class, 1);
-                Response::Route {
-                    epoch: snap.epoch(),
-                    outcome: self.route_one(&snap, class, *source, *target),
-                }
-            }
-            Request::Batch { pairs, class } => {
-                let snap = self.cell.load();
-                let class = match self.class_of(&snap, *class) {
-                    Ok(c) => c,
-                    Err(resp) => return resp,
-                };
-                if pairs.len() > self.config.max_batch as usize {
-                    return Response::Error {
-                        code: ERR_BAD_REQUEST,
-                        message: format!(
-                            "batch of {} pairs exceeds cap of {}",
-                            pairs.len(),
-                            self.config.max_batch
-                        ),
-                    };
-                }
-                self.count_queries(&snap, class, pairs.len() as u64);
-                Response::Batch {
-                    epoch: snap.epoch(),
-                    outcomes: pairs
-                        .iter()
-                        .map(|&(s, t)| self.route_one(&snap, class, s, t))
-                        .collect(),
-                }
-            }
+            } => self.answer_query(false, *class, &[(*source, *target)]),
+            Request::Batch { pairs, class } => self.answer_query(true, *class, pairs),
             Request::Register { name, expr } => match self.register_class(name, expr) {
                 Ok((class, scheme, epoch)) => Response::Registered {
                     epoch,
@@ -419,7 +631,7 @@ impl MultiRouteService {
                 },
             },
             Request::Health => {
-                let snap = self.cell.load();
+                let snap = self.current();
                 Response::Health {
                     epoch: snap.epoch(),
                     digest: snap.digest(),
@@ -427,7 +639,7 @@ impl MultiRouteService {
                 }
             }
             Request::Metrics => {
-                let snap = self.cell.load();
+                let snap = self.current();
                 Response::Metrics {
                     epoch: snap.epoch(),
                     json: self.obs.registry.render_json().to_compact(),
@@ -441,7 +653,7 @@ impl MultiRouteService {
     /// aggregated across classes (per-class splits live in the metrics
     /// registry under `serve.class.{name}.*`).
     pub fn stats(&self) -> StatsSnapshot {
-        let snap = self.cell.load();
+        let snap = self.current();
         StatsSnapshot {
             epoch: snap.epoch(),
             digest: snap.digest(),

@@ -43,6 +43,17 @@
 //! answer was computed against — the client-visible face of the
 //! RCU-style hot swap (see [`crate::epoch`]).
 //!
+//! ## Pipelining
+//!
+//! A client may send further requests before reading the replies to
+//! earlier ones. The server answers the frames of a connection strictly
+//! in arrival order, one reply per request, and sends the replies to
+//! every request it found already buffered with a single write
+//! ([`RouteClient::call_pipelined`](crate::RouteClient::call_pipelined)
+//! is the client side). A frame that violates the protocol ends the
+//! connection *after* the requests before it were answered: one
+//! [`ERR_PROTO`] error frame, then close.
+//!
 //! ## Traffic classes
 //!
 //! Lookup and Batch carry an optional trailing `u8` *traffic class*
@@ -58,6 +69,8 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Default cap on one frame's body length. A route over a plane of
 /// `n ≤ 100k` nodes fits comfortably; anything larger is a protocol
@@ -342,12 +355,66 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadPayload("invalid UTF-8"))
     }
 
+    /// A `Batch` payload's `u32 count` + `count` pairs, appended to
+    /// `pairs`.
+    fn batch_pairs(&mut self, pairs: &mut Vec<(u32, u32)>) -> Result<(), ProtoError> {
+        let count = self.u32("batch count")? as usize;
+        if count.saturating_mul(8) > self.remaining() {
+            return Err(ProtoError::Truncated {
+                context: "batch pairs",
+            });
+        }
+        pairs.reserve(count);
+        for _ in 0..count {
+            pairs.push((self.u32("batch source")?, self.u32("batch target")?));
+        }
+        Ok(())
+    }
+
+    /// Exactly one trailing byte is the traffic class; its absence (a
+    /// legacy frame) means class 0. Anything else trailing is left for
+    /// [`finish`](Self::finish) to reject.
+    fn trailing_class(&mut self, context: &'static str) -> Result<u8, ProtoError> {
+        if self.remaining() == 1 {
+            self.u8(context)
+        } else {
+            Ok(0)
+        }
+    }
+
     fn finish(&self) -> Result<(), ProtoError> {
         if self.remaining() != 0 {
             return Err(ProtoError::BadPayload("trailing bytes"));
         }
         Ok(())
     }
+}
+
+/// Decodes a `Lookup` or `Batch` body into caller-owned storage — the
+/// borrowed decode of the request path: the pairs replace the contents
+/// of `pairs` (no allocation within its capacity) and the return value
+/// is `(is a batch, traffic class)`. `Ok(None)` for any other opcode,
+/// which [`Request::decode`] handles; for these two it accepts and
+/// rejects exactly what [`Request::decode`] does.
+pub(crate) fn decode_query(
+    body: &[u8],
+    pairs: &mut Vec<(u32, u32)>,
+) -> Result<Option<(bool, u8)>, ProtoError> {
+    let mut c = Cursor::new(body);
+    pairs.clear();
+    let (batch, class) = match c.u8("opcode")? {
+        OP_LOOKUP => {
+            pairs.push((c.u32("lookup source")?, c.u32("lookup target")?));
+            (false, c.trailing_class("lookup class")?)
+        }
+        OP_BATCH => {
+            c.batch_pairs(pairs)?;
+            (true, c.trailing_class("batch class")?)
+        }
+        _ => return Ok(None),
+    };
+    c.finish()?;
+    Ok(Some((batch, class)))
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -365,9 +432,15 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
 
 impl Request {
     /// Serializes the request into a frame *body* (opcode + payload; no
-    /// length prefix — [`write_frame`] adds that).
+    /// length prefix — [`frame_into`] adds that).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`encode`](Self::encode), appending to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Lookup {
                 source,
@@ -375,18 +448,19 @@ impl Request {
                 class,
             } => {
                 out.push(OP_LOOKUP);
-                put_u32(&mut out, *source);
-                put_u32(&mut out, *target);
+                put_u32(out, *source);
+                put_u32(out, *target);
                 if *class != 0 {
                     out.push(*class);
                 }
             }
             Request::Batch { pairs, class } => {
                 out.push(OP_BATCH);
-                put_u32(&mut out, pairs.len() as u32);
+                put_u32(out, pairs.len() as u32);
+                out.reserve(pairs.len() * 8 + 1);
                 for &(s, t) in pairs {
-                    put_u32(&mut out, s);
-                    put_u32(&mut out, t);
+                    put_u32(out, s);
+                    put_u32(out, t);
                 }
                 if *class != 0 {
                     out.push(*class);
@@ -394,18 +468,17 @@ impl Request {
             }
             Request::Register { name, expr } => {
                 out.push(OP_REGISTER);
-                put_string(&mut out, name);
-                put_string(&mut out, expr);
+                put_string(out, name);
+                put_string(out, expr);
             }
             Request::Deregister { name } => {
                 out.push(OP_DEREGISTER);
-                put_string(&mut out, name);
+                put_string(out, name);
             }
             Request::Health => out.push(OP_HEALTH),
             Request::Metrics => out.push(OP_METRICS),
             Request::Stats => out.push(OP_STATS),
         }
-        out
     }
 
     /// Decodes a frame body into a request.
@@ -420,37 +493,19 @@ impl Request {
             OP_LOOKUP => {
                 let source = c.u32("lookup source")?;
                 let target = c.u32("lookup target")?;
-                // Exactly one trailing byte is the traffic class; its
-                // absence (a legacy frame) means class 0. Anything else
-                // trailing is rejected by `finish` below.
-                let class = if c.remaining() == 1 {
-                    c.u8("lookup class")?
-                } else {
-                    0
-                };
                 Request::Lookup {
                     source,
                     target,
-                    class,
+                    class: c.trailing_class("lookup class")?,
                 }
             }
             OP_BATCH => {
-                let count = c.u32("batch count")? as usize;
-                if count.saturating_mul(8) > c.remaining() {
-                    return Err(ProtoError::Truncated {
-                        context: "batch pairs",
-                    });
+                let mut pairs = Vec::new();
+                c.batch_pairs(&mut pairs)?;
+                Request::Batch {
+                    pairs,
+                    class: c.trailing_class("batch class")?,
                 }
-                let mut pairs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    pairs.push((c.u32("batch source")?, c.u32("batch target")?));
-                }
-                let class = if c.remaining() == 1 {
-                    c.u8("batch class")?
-                } else {
-                    0
-                };
-                Request::Batch { pairs, class }
             }
             OP_REGISTER => Request::Register {
                 name: c.string("register name")?,
@@ -469,20 +524,46 @@ impl Request {
     }
 }
 
+/// Opcode + payload head of a `Route` reply; one outcome follows.
+pub(crate) fn put_route_head(out: &mut Vec<u8>, epoch: u64) {
+    out.push(OP_ROUTE_REPLY);
+    put_u64(out, epoch);
+}
+
+/// Opcode + payload head of a `Batch` reply; `count` outcomes follow.
+pub(crate) fn put_batch_head(out: &mut Vec<u8>, epoch: u64, count: usize) {
+    out.push(OP_BATCH_REPLY);
+    put_u64(out, epoch);
+    put_u32(out, count as u32);
+}
+
+/// A delivered outcome: the node path, source first.
+pub(crate) fn put_path(out: &mut Vec<u8>, path: &[u32]) {
+    out.push(0);
+    put_u32(out, path.len() as u32);
+    let at = out.len();
+    out.resize(at + 4 * path.len(), 0);
+    for (slot, &v) in out[at..].chunks_exact_mut(4).zip(path) {
+        slot.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// An unroutable outcome.
+pub(crate) fn put_unroutable(out: &mut Vec<u8>) {
+    out.push(1);
+}
+
+/// A failed outcome with its error text.
+pub(crate) fn put_failed(out: &mut Vec<u8>, message: &str) {
+    out.push(2);
+    put_string(out, message);
+}
+
 fn encode_outcome(out: &mut Vec<u8>, outcome: &RouteOutcome) {
     match outcome {
-        RouteOutcome::Path(path) => {
-            out.push(0);
-            put_u32(out, path.len() as u32);
-            for &v in path {
-                put_u32(out, v);
-            }
-        }
-        RouteOutcome::Unroutable => out.push(1),
-        RouteOutcome::Failed(msg) => {
-            out.push(2);
-            put_string(out, msg);
-        }
+        RouteOutcome::Path(path) => put_path(out, path),
+        RouteOutcome::Unroutable => put_unroutable(out),
+        RouteOutcome::Failed(msg) => put_failed(out, msg),
     }
 }
 
@@ -511,18 +592,21 @@ impl Response {
     /// Serializes the response into a frame body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`encode`](Self::encode), appending to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Route { epoch, outcome } => {
-                out.push(OP_ROUTE_REPLY);
-                put_u64(&mut out, *epoch);
-                encode_outcome(&mut out, outcome);
+                put_route_head(out, *epoch);
+                encode_outcome(out, outcome);
             }
             Response::Batch { epoch, outcomes } => {
-                out.push(OP_BATCH_REPLY);
-                put_u64(&mut out, *epoch);
-                put_u32(&mut out, outcomes.len() as u32);
+                put_batch_head(out, *epoch, outcomes.len());
                 for o in outcomes {
-                    encode_outcome(&mut out, o);
+                    encode_outcome(out, o);
                 }
             }
             Response::Registered {
@@ -531,13 +615,13 @@ impl Response {
                 scheme,
             } => {
                 out.push(OP_REGISTER_REPLY);
-                put_u64(&mut out, *epoch);
+                put_u64(out, *epoch);
                 out.push(*class);
-                put_string(&mut out, scheme);
+                put_string(out, scheme);
             }
             Response::Deregistered { epoch, class } => {
                 out.push(OP_DEREGISTER_REPLY);
-                put_u64(&mut out, *epoch);
+                put_u64(out, *epoch);
                 out.push(*class);
             }
             Response::Health {
@@ -546,37 +630,36 @@ impl Response {
                 fresh,
             } => {
                 out.push(OP_HEALTH_REPLY);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *digest);
+                put_u64(out, *epoch);
+                put_u64(out, *digest);
                 out.push(u8::from(*fresh));
             }
             Response::Metrics { epoch, json } => {
                 out.push(OP_METRICS_REPLY);
-                put_u64(&mut out, *epoch);
-                put_string(&mut out, json);
+                put_u64(out, *epoch);
+                put_string(out, json);
             }
             Response::Stats(s) => {
                 out.push(OP_STATS_REPLY);
-                put_u64(&mut out, s.epoch);
-                put_u64(&mut out, s.digest);
-                put_u64(&mut out, s.swaps);
-                put_u64(&mut out, s.queries);
-                put_u64(&mut out, s.delivered);
-                put_u64(&mut out, s.unroutable);
-                put_u64(&mut out, s.failed);
-                put_u32(&mut out, s.epoch_queries.len() as u32);
+                put_u64(out, s.epoch);
+                put_u64(out, s.digest);
+                put_u64(out, s.swaps);
+                put_u64(out, s.queries);
+                put_u64(out, s.delivered);
+                put_u64(out, s.unroutable);
+                put_u64(out, s.failed);
+                put_u32(out, s.epoch_queries.len() as u32);
                 for &(e, q) in &s.epoch_queries {
-                    put_u64(&mut out, e);
-                    put_u64(&mut out, q);
+                    put_u64(out, e);
+                    put_u64(out, q);
                 }
             }
             Response::Error { code, message } => {
                 out.push(OP_ERROR);
                 out.push(*code);
-                put_string(&mut out, message);
+                put_string(out, message);
             }
         }
-        out
     }
 
     /// Decodes a frame body into a response.
@@ -664,9 +747,25 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------
-// Frame I/O.
+// Frame I/O: one writer ([`frame_into`]), one reader ([`FrameReader`]).
 
-/// Writes one frame: `u32` little-endian body length, then the body.
+/// Appends one frame to `out`: the `u32` little-endian length prefix,
+/// then whatever `body` appends. Building the prefix and the body in
+/// one buffer is what makes a frame — or a burst of them — one `write`.
+///
+/// # Panics
+///
+/// Panics if the body exceeds `u32::MAX` bytes (a caller bug — encoded
+/// bodies are bounded by the protocol caps long before that).
+pub fn frame_into(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let prefix = out.len();
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let len = u32::try_from(out.len() - prefix - 4).expect("frame body exceeds u32::MAX");
+    out[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Writes `body` as one frame with a single `write_all`.
 ///
 /// # Errors
 ///
@@ -674,67 +773,159 @@ impl Response {
 ///
 /// # Panics
 ///
-/// Panics if `body` exceeds `u32::MAX` bytes (a caller bug — encoded
-/// bodies are bounded by the protocol caps long before that).
+/// As [`frame_into`].
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len()).expect("frame body exceeds u32::MAX");
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)?;
+    let mut framed = Vec::with_capacity(4 + body.len());
+    frame_into(&mut framed, |out| out.extend_from_slice(body));
+    w.write_all(&framed)?;
     w.flush()
 }
 
-/// Reads one frame body. Returns `Ok(None)` on a clean end-of-stream at
-/// a frame boundary (the peer closed between frames); end-of-stream
-/// anywhere else is [`ProtoError::Truncated`].
-///
-/// # Errors
-///
-/// [`ProtoError::Truncated`] / [`Oversized`](ProtoError::Oversized) /
-/// [`Io`](ProtoError::Io).
-pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Vec<u8>>, ProtoError> {
-    let mut prefix = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match r.read(&mut prefix[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(None)
-                } else {
-                    Err(ProtoError::Truncated {
-                        context: "length prefix",
-                    })
-                };
-            }
-            Ok(k) => got += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
+/// Initial size of a [`FrameReader`]'s buffer: several `Batch`-256
+/// requests or replies. It grows, once, to the largest frame a peer
+/// announces within the frame cap.
+const READ_BUFFER: usize = 16 << 10;
+
+/// The buffered frame reader of both ends of a connection: each `read`
+/// on the transport takes whatever has arrived — a whole frame in one
+/// call when the peer wrote it in one, several frames when it
+/// pipelined them — and frames are handed out as slices of the buffer,
+/// with no per-frame allocation.
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// Start of the bytes not yet handed out.
+    head: usize,
+    /// End of the bytes read so far.
+    tail: usize,
+    max_frame: u32,
+}
+
+impl FrameReader {
+    /// A reader enforcing `max_frame` on every announced body length.
+    pub fn new(max_frame: u32) -> Self {
+        FrameReader {
+            buf: vec![0; READ_BUFFER],
+            head: 0,
+            tail: 0,
+            max_frame,
         }
     }
-    let len = u32::from_le_bytes(prefix);
-    if len == 0 {
-        return Err(ProtoError::BadPayload("empty frame"));
+
+    /// Body length announced by the frame at `head`, once its prefix is
+    /// in and valid.
+    fn announced(&self) -> Result<Option<usize>, ProtoError> {
+        let Some(prefix) = self.buf[self.head..self.tail].first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix);
+        if len == 0 {
+            return Err(ProtoError::BadPayload("empty frame"));
+        }
+        if len > self.max_frame {
+            return Err(ProtoError::Oversized {
+                len,
+                max: self.max_frame,
+            });
+        }
+        Ok(Some(len as usize))
     }
-    if len > max_frame {
-        return Err(ProtoError::Oversized {
-            len,
-            max: max_frame,
-        });
+
+    fn take(&mut self) -> Result<Option<Range<usize>>, ProtoError> {
+        let Some(len) = self.announced()? else {
+            return Ok(None);
+        };
+        let body = self.head + 4..self.head + 4 + len;
+        if body.end > self.tail {
+            return Ok(None);
+        }
+        self.head = body.end;
+        Ok(Some(body))
     }
-    let mut body = vec![0u8; len as usize];
-    let mut at = 0usize;
-    while at < body.len() {
-        match r.read(&mut body[at..]) {
-            Ok(0) => {
-                return Err(ProtoError::Truncated {
-                    context: "frame body",
-                })
+
+    /// The next complete frame body **already buffered**, without
+    /// touching the transport; `Ok(None)` when the buffer holds no
+    /// complete frame.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtoError::BadPayload`] / [`Oversized`](ProtoError::Oversized)
+    /// on a bad length prefix.
+    pub fn buffered(&mut self) -> Result<Option<&[u8]>, ProtoError> {
+        Ok(self.take()?.map(|body| &self.buf[body]))
+    }
+
+    /// The next frame body, reading from `r` until one is complete.
+    /// Returns `Ok(None)` on a clean end-of-stream at a frame boundary
+    /// (the peer closed between frames); end-of-stream anywhere else is
+    /// [`ProtoError::Truncated`].
+    ///
+    /// With a `stop` flag the read is *polling*: the flag is checked
+    /// before every `read`, a timed-out or would-block `read` just
+    /// polls again, and a raised flag returns `Ok(None)` — a partial
+    /// frame at shutdown is discarded, the peer is going away with us.
+    /// Without one, those two error kinds are errors like any other.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtoError::Truncated`] / [`Oversized`](ProtoError::Oversized)
+    /// / [`BadPayload`](ProtoError::BadPayload) (empty frame) /
+    /// [`Io`](ProtoError::Io).
+    pub fn read(
+        &mut self,
+        r: &mut impl Read,
+        stop: Option<&AtomicBool>,
+    ) -> Result<Option<&[u8]>, ProtoError> {
+        loop {
+            if let Some(body) = self.take()? {
+                return Ok(Some(&self.buf[body]));
             }
-            Ok(k) => at += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
+            if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+                return Ok(None);
+            }
+            self.make_room();
+            match r.read(&mut self.buf[self.tail..]) {
+                Ok(0) => {
+                    return match self.tail - self.head {
+                        0 => Ok(None),
+                        1..=3 => Err(ProtoError::Truncated {
+                            context: "length prefix",
+                        }),
+                        _ => Err(ProtoError::Truncated {
+                            context: "frame body",
+                        }),
+                    }
+                }
+                Ok(k) => self.tail += k,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if stop.is_some()
+                        && matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                        ) => {}
+                Err(e) => return Err(e.into()),
+            }
         }
     }
-    Ok(Some(body))
+
+    /// Makes the frame being assembled at `head` fit: rewinds an empty
+    /// buffer, moves a partial frame that would run off the end to the
+    /// front, and grows the buffer to a frame larger than it. Runs
+    /// after [`take`](Self::take) found the frame incomplete, so a
+    /// prefix that is in has passed the cap.
+    fn make_room(&mut self) {
+        if self.head == self.tail {
+            (self.head, self.tail) = (0, 0);
+        }
+        let need = 4 + self.announced().ok().flatten().unwrap_or(0);
+        if self.head + need > self.buf.len() {
+            self.buf.copy_within(self.head..self.tail, 0);
+            (self.head, self.tail) = (0, self.tail - self.head);
+            if need > self.buf.len() {
+                self.buf.resize(need, 0);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -746,26 +937,27 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &[0xAA, 0xBB]).unwrap();
         assert_eq!(buf, vec![2, 0, 0, 0, 0xAA, 0xBB]);
-        let body = read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME)
-            .unwrap()
-            .unwrap();
-        assert_eq!(body, vec![0xAA, 0xBB]);
+        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+        let body = reader.read(&mut buf.as_slice(), None).unwrap().unwrap();
+        assert_eq!(body, [0xAA, 0xBB]);
+    }
+
+    fn read_one(mut wire: &[u8], max_frame: u32) -> Result<Option<Vec<u8>>, ProtoError> {
+        let mut reader = FrameReader::new(max_frame);
+        Ok(reader.read(&mut wire, None)?.map(<[u8]>::to_vec))
     }
 
     #[test]
     fn clean_eof_is_none_midframe_eof_is_truncated() {
-        let empty: &[u8] = &[];
-        assert_eq!(read_frame(&mut { empty }, 1024).unwrap(), None);
-        let cut_prefix: &[u8] = &[5, 0];
+        assert_eq!(read_one(&[], 1024).unwrap(), None);
         assert_eq!(
-            read_frame(&mut { cut_prefix }, 1024).unwrap_err(),
+            read_one(&[5, 0], 1024).unwrap_err(),
             ProtoError::Truncated {
                 context: "length prefix"
             }
         );
-        let cut_body: &[u8] = &[5, 0, 0, 0, 1, 2];
         assert_eq!(
-            read_frame(&mut { cut_body }, 1024).unwrap_err(),
+            read_one(&[5, 0, 0, 0, 1, 2], 1024).unwrap_err(),
             ProtoError::Truncated {
                 context: "frame body"
             }
@@ -774,9 +966,8 @@ mod tests {
 
     #[test]
     fn oversized_frames_are_rejected_before_allocation() {
-        let huge: &[u8] = &[0xFF, 0xFF, 0xFF, 0x7F, 0];
         assert_eq!(
-            read_frame(&mut { huge }, 1024).unwrap_err(),
+            read_one(&[0xFF, 0xFF, 0xFF, 0x7F, 0], 1024).unwrap_err(),
             ProtoError::Oversized {
                 len: 0x7FFF_FFFF,
                 max: 1024

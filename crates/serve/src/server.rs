@@ -2,8 +2,8 @@
 //! scoped threads) in front of a [`MultiRouteService`].
 //!
 //! The split mirrors a real router: the **data path** is
-//! [`MultiRouteService::answer`] — load the current snapshot from the
-//! epoch cell, walk the compiled plane, count the query. The **control
+//! [`MultiRouteService::answer_frame`] — load the current snapshot from
+//! the epoch cell, walk the compiled plane, count the query. The **control
 //! path** is [`MultiRouteService::reconcile`] — diff a (possibly
 //! drifted) topology on the master plane, repair it off the serving
 //! path, then publish a cloned snapshot with one atomic swap. Queries
@@ -13,14 +13,14 @@
 //! on its response.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::multi::MultiRouteService;
+use crate::multi::{ConnScratch, MultiRouteService};
 use crate::proto::{
-    self, ProtoError, Request, Response, DEFAULT_MAX_BATCH, DEFAULT_MAX_FRAME, ERR_PROTO,
+    frame_into, FrameReader, Response, DEFAULT_MAX_BATCH, DEFAULT_MAX_FRAME, ERR_PROTO,
 };
 
 /// Limits and switches for one serving instance.
@@ -110,10 +110,16 @@ impl RouteServer {
                 return Ok(());
             }
             match self.listener.accept() {
-                Ok((stream, _peer)) => {
+                Ok((mut stream, _peer)) => {
                     let service = Arc::clone(&self.service);
                     let stop = Arc::clone(&self.stop);
-                    scope.spawn(move || handle_connection(&service, stream, &stop));
+                    scope.spawn(move || {
+                        let timeout = service.config().read_timeout_ms.max(1);
+                        let _ = stream.set_nodelay(true);
+                        let _ = stream.set_read_timeout(Some(Duration::from_millis(timeout)));
+                        handle_connection(&service, &mut stream, &stop);
+                        let _ = stream.shutdown(Shutdown::Both);
+                    });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(1));
@@ -125,120 +131,323 @@ impl RouteServer {
     }
 }
 
-/// Reads one frame body, polling `stop` across read timeouts. Returns
-/// `Ok(None)` on clean end-of-stream at a frame boundary *or* when the
-/// stop flag is raised (a partial frame at shutdown is discarded — the
-/// peer is going away with us).
-fn read_frame_polling(
-    stream: &mut TcpStream,
-    stop: &AtomicBool,
-    max_frame: u32,
-) -> Result<Option<Vec<u8>>, ProtoError> {
-    fn fill(
-        stream: &mut TcpStream,
-        stop: &AtomicBool,
-        buf: &mut [u8],
-        context: &'static str,
-    ) -> Result<bool, ProtoError> {
-        let mut at = 0usize;
-        while at < buf.len() {
-            if stop.load(Ordering::Relaxed) {
-                return Ok(false);
-            }
-            match stream.read(&mut buf[at..]) {
-                Ok(0) => {
-                    if at == 0 && context == "length prefix" {
-                        return Ok(false);
-                    }
-                    return Err(ProtoError::Truncated { context });
-                }
-                Ok(k) => at += k,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(true)
-    }
-
-    let mut prefix = [0u8; 4];
-    if !fill(stream, stop, &mut prefix, "length prefix")? {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(prefix);
-    if len == 0 {
-        return Err(ProtoError::BadPayload("empty frame"));
-    }
-    if len > max_frame {
-        return Err(ProtoError::Oversized {
-            len,
-            max: max_frame,
-        });
-    }
-    let mut body = vec![0u8; len as usize];
-    if !fill(stream, stop, &mut body, "frame body")? {
-        return Ok(None);
-    }
-    Ok(Some(body))
-}
-
 /// One connection worker: frames in, frames out, until the peer closes,
 /// the stop flag is raised, or the peer violates the protocol (which is
 /// answered with a best-effort `Error` frame and a close — never a
 /// panic, never a poisoned worker).
-fn handle_connection(service: &MultiRouteService, mut stream: TcpStream, stop: &AtomicBool) {
+///
+/// Each turn blocks for one frame, then answers it **and every further
+/// complete frame already in the read buffer** into one output buffer
+/// sent with one `write` — a client that pipelines `k` requests gets
+/// `k` in-order replies for one write, a client that does not gets one
+/// `write` per frame. Generic over the transport so tests drive this
+/// loop over in-memory bytes; socket options are the caller's.
+fn handle_connection<T: Read + Write>(
+    service: &MultiRouteService,
+    transport: &mut T,
+    stop: &AtomicBool,
+) {
     let config = *service.config();
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(config.read_timeout_ms.max(1))));
     service.obs().incr("serve.connections");
+    let mut reader = FrameReader::new(config.max_frame);
+    let mut scratch = ConnScratch::default();
+    let mut out = Vec::new();
     loop {
-        let body = match read_frame_polling(&mut stream, stop, config.max_frame) {
-            Ok(Some(body)) => body,
+        out.clear();
+        let mut frame = match reader.read(transport, Some(stop)) {
             Ok(None) => return,
-            Err(err) => {
-                service.obs().incr("serve.proto_errors");
-                send_error(&mut stream, ERR_PROTO, &err.to_string());
-                return;
-            }
+            first => first,
         };
-        let request = match Request::decode(&body) {
-            Ok(req) => req,
-            Err(err) => {
-                service.obs().incr("serve.proto_errors");
-                send_error(&mut stream, ERR_PROTO, &err.to_string());
-                return;
+        let violation = loop {
+            let body = match frame {
+                Ok(Some(body)) => body,
+                Ok(None) => break None,
+                Err(err) => break Some(err),
+            };
+            let started = config.record_latency.then(Instant::now);
+            if let Err(err) = service.answer_frame(body, &mut scratch, &mut out) {
+                break Some(err);
             }
+            if let Some(started) = started {
+                service
+                    .obs()
+                    .record("serve.latency_us", started.elapsed().as_micros() as u64);
+            }
+            frame = reader.buffered();
         };
-        let started = Instant::now();
-        let response = service.answer(&request);
-        if config.record_latency {
-            service
-                .obs()
-                .record("serve.latency_us", started.elapsed().as_micros() as u64);
+        if let Some(err) = &violation {
+            service.obs().incr("serve.proto_errors");
+            let refusal = Response::Error {
+                code: ERR_PROTO,
+                message: err.to_string(),
+            };
+            frame_into(&mut out, |body| refusal.encode_into(body));
         }
-        if write_response(&mut stream, &response).is_err() {
+        let sent = transport.write_all(&out).and_then(|()| transport.flush());
+        if sent.is_err() || violation.is_some() {
             return;
         }
     }
 }
 
-fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
-    proto::write_frame(stream, &response.encode())
-}
+#[cfg(test)]
+mod tests {
+    //! The production connection loop over an in-memory transport: what
+    //! a `read` returns and how many `write`s leave is scripted and
+    //! counted here, which a socket test cannot do.
 
-fn send_error(stream: &mut TcpStream, code: u8, message: &str) {
-    let _ = write_response(
-        stream,
-        &Response::Error {
-            code,
-            message: message.to_string(),
-        },
-    );
-    let _ = stream.flush();
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+    use std::collections::VecDeque;
+
+    use cpr_algebra::policies::ShortestPath;
+    use cpr_graph::{generators, EdgeWeights};
+    use cpr_plane::MultiBuilder;
+    use cpr_routing::DestTable;
+    use rand::SeedableRng;
+
+    use super::*;
+    use crate::proto::{write_frame, Request};
+
+    enum Step {
+        /// Bytes the peer has sent; a `read` takes as many as fit.
+        Bytes(Vec<u8>),
+        /// One `read` fails with this kind (a timeout poll).
+        Fail(io::ErrorKind),
+        /// The stop flag goes up before the next `read` returns.
+        RaiseStop,
+    }
+
+    /// A scripted peer: `read` plays the steps (end-of-stream after the
+    /// last), `write` records each call.
+    struct Scripted<'a> {
+        steps: VecDeque<Step>,
+        /// `Some(k)`: a `read` returns at most `k` bytes.
+        read_cap: Option<usize>,
+        stop: &'a AtomicBool,
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Read for Scripted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            loop {
+                match self.steps.pop_front() {
+                    None => return Ok(0),
+                    Some(Step::Fail(kind)) => return Err(kind.into()),
+                    Some(Step::RaiseStop) => {
+                        self.stop.store(true, Ordering::Relaxed);
+                        return Err(io::ErrorKind::TimedOut.into());
+                    }
+                    Some(Step::Bytes(bytes)) if bytes.is_empty() => {}
+                    Some(Step::Bytes(mut bytes)) => {
+                        let k = bytes
+                            .len()
+                            .min(buf.len())
+                            .min(self.read_cap.unwrap_or(usize::MAX));
+                        buf[..k].copy_from_slice(&bytes[..k]);
+                        bytes.drain(..k);
+                        self.steps.push_front(Step::Bytes(bytes));
+                        return Ok(k);
+                    }
+                }
+            }
+        }
+    }
+
+    impl Write for Scripted<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn service() -> MultiRouteService {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let g = generators::gnp_connected(12, 0.3, &mut rng);
+        let registry = MultiBuilder::new().class("shortest-path", |g| {
+            DestTable::build(g, &EdgeWeights::uniform(g, 1u64), &ShortestPath)
+        });
+        MultiRouteService::new(
+            &g,
+            registry,
+            ServeConfig::default(),
+            cpr_obs::Obs::with_null_tracer(),
+        )
+        .unwrap()
+    }
+
+    fn lookup(source: u32, target: u32) -> Request {
+        Request::Lookup {
+            source,
+            target,
+            class: 0,
+        }
+    }
+
+    fn batch(pairs: usize) -> Request {
+        Request::Batch {
+            pairs: (0..pairs as u32).map(|i| (i % 12, (i / 12) % 12)).collect(),
+            class: 0,
+        }
+    }
+
+    fn framed(requests: &[Request]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for request in requests {
+            write_frame(&mut wire, &request.encode()).unwrap();
+        }
+        wire
+    }
+
+    /// The reply frames `answer` gives `requests`, concatenated.
+    fn replies(service: &MultiRouteService, requests: &[Request]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for request in requests {
+            write_frame(&mut wire, &service.answer(request).encode()).unwrap();
+        }
+        wire
+    }
+
+    fn refusal(err: &crate::ProtoError) -> Vec<u8> {
+        let mut wire = Vec::new();
+        let refusal = Response::Error {
+            code: ERR_PROTO,
+            message: err.to_string(),
+        };
+        write_frame(&mut wire, &refusal.encode()).unwrap();
+        wire
+    }
+
+    /// Runs the connection loop over `steps`; returns the `write` calls.
+    fn serve(
+        service: &MultiRouteService,
+        steps: impl IntoIterator<Item = Step>,
+        read_cap: Option<usize>,
+    ) -> Vec<Vec<u8>> {
+        let stop = AtomicBool::new(false);
+        let mut peer = Scripted {
+            steps: steps.into_iter().collect(),
+            read_cap,
+            stop: &stop,
+            writes: Vec::new(),
+        };
+        handle_connection(service, &mut peer, &stop);
+        peer.writes
+    }
+
+    #[test]
+    fn one_byte_per_read_answers_each_frame_with_its_own_write() {
+        let service = service();
+        let requests = [lookup(0, 7), batch(40), Request::Health, lookup(3, 3)];
+        let writes = serve(&service, [Step::Bytes(framed(&requests))], Some(1));
+        assert_eq!(writes.len(), requests.len());
+        assert_eq!(writes.concat(), replies(&service, &requests));
+    }
+
+    #[test]
+    fn eight_frames_in_one_read_are_answered_in_order_with_one_write() {
+        let service = service();
+        let requests: Vec<Request> = (0..8)
+            .map(|i| {
+                if i % 3 == 2 {
+                    batch(5 + i)
+                } else {
+                    lookup(i as u32, 11)
+                }
+            })
+            .collect();
+        let writes = serve(&service, [Step::Bytes(framed(&requests))], None);
+        assert_eq!(writes.len(), 1);
+        assert_eq!(writes[0], replies(&service, &requests));
+    }
+
+    #[test]
+    fn frames_straddling_and_outgrowing_the_read_buffer_are_reassembled() {
+        let service = service();
+        // Twelve 2 KiB frames cross the 16 KiB buffer boundary mid-frame;
+        // the 32 KiB one does not fit the buffer at all until it grows.
+        let mut requests = vec![batch(256); 12];
+        requests.push(batch(4096));
+        requests.push(lookup(1, 2));
+        let wire = framed(&requests);
+        let expected = replies(&service, &requests);
+        for read_cap in [None, Some(5000), Some(1)] {
+            let writes = serve(&service, [Step::Bytes(wire.clone())], read_cap);
+            assert_eq!(writes.concat(), expected, "read cap {read_cap:?}");
+        }
+    }
+
+    #[test]
+    fn timeouts_between_any_two_bytes_are_polled_through() {
+        let service = service();
+        let requests = [lookup(2, 9), batch(3)];
+        let wire = framed(&requests);
+        let expected = replies(&service, &requests);
+        for cut in 0..=wire.len() {
+            let steps = [
+                Step::Bytes(wire[..cut].to_vec()),
+                Step::Fail(io::ErrorKind::WouldBlock),
+                Step::Fail(io::ErrorKind::TimedOut),
+                Step::Fail(io::ErrorKind::Interrupted),
+                Step::Bytes(wire[cut..].to_vec()),
+            ];
+            let writes = serve(&service, steps, None);
+            assert_eq!(writes.concat(), expected, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_stop_raised_mid_frame_ends_the_worker_without_a_reply() {
+        let service = service();
+        let first = framed(&[lookup(2, 9)]);
+        let second = framed(&[batch(3)]);
+        for cut in 0..second.len() {
+            let mut sent = first.clone();
+            sent.extend_from_slice(&second[..cut]);
+            let steps = [
+                Step::Bytes(sent),
+                Step::RaiseStop,
+                Step::Bytes(second[cut..].to_vec()),
+            ];
+            let writes = serve(&service, steps, None);
+            assert_eq!(
+                writes.concat(),
+                replies(&service, &[lookup(2, 9)]),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bad_prefix_mid_burst_answers_what_came_before_then_refuses_and_closes() {
+        let service = service();
+        let before = [lookup(0, 5), batch(7)];
+        let empty = crate::ProtoError::BadPayload("empty frame");
+        let oversized = crate::ProtoError::Oversized {
+            len: DEFAULT_MAX_FRAME + 1,
+            max: DEFAULT_MAX_FRAME,
+        };
+        for (prefix, err) in [(0u32, &empty), (DEFAULT_MAX_FRAME + 1, &oversized)] {
+            let mut wire = framed(&before);
+            wire.extend_from_slice(&prefix.to_le_bytes());
+            wire.extend_from_slice(&framed(&[lookup(1, 2)]));
+            let mut expected = replies(&service, &before);
+            expected.extend_from_slice(&refusal(err));
+            // One read: the burst's replies and the refusal share a write.
+            let writes = serve(&service, [Step::Bytes(wire.clone())], None);
+            assert_eq!(writes, [expected.clone()], "prefix {prefix}");
+            // Byte by byte: same bytes, nothing after the refusal.
+            let writes = serve(&service, [Step::Bytes(wire)], Some(1));
+            assert_eq!(writes.concat(), expected, "prefix {prefix}");
+        }
+        // An undecodable body is refused the same way.
+        let mut wire = framed(&before);
+        write_frame(&mut wire, &[0x7F]).unwrap();
+        wire.extend_from_slice(&framed(&[lookup(1, 2)]));
+        let mut expected = replies(&service, &before);
+        expected.extend_from_slice(&refusal(&crate::ProtoError::UnknownOpcode(0x7F)));
+        assert_eq!(serve(&service, [Step::Bytes(wire)], None), [expected]);
+    }
 }

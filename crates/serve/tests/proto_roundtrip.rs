@@ -13,7 +13,7 @@ use cpr_graph::{generators, EdgeWeights};
 use cpr_plane::MultiBuilder;
 use cpr_routing::DestTable;
 use cpr_serve::proto::{
-    read_frame, write_frame, ProtoError, Request, Response, RouteOutcome, StatsSnapshot,
+    write_frame, FrameReader, ProtoError, Request, Response, RouteOutcome, StatsSnapshot,
     ERR_BAD_REQUEST, ERR_PROTO,
 };
 use cpr_serve::{MultiRouteService, RouteClient, RouteServer, ServeConfig};
@@ -141,8 +141,9 @@ proptest! {
         let resp = Mix(seed).response();
         let mut wire = Vec::new();
         write_frame(&mut wire, &resp.encode()).unwrap();
-        let body = read_frame(&mut wire.as_slice(), 1 << 20).unwrap().unwrap();
-        prop_assert_eq!(Response::decode(&body).unwrap(), resp);
+        let mut reader = FrameReader::new(1 << 20);
+        let body = reader.read(&mut wire.as_slice(), None).unwrap().unwrap();
+        prop_assert_eq!(Response::decode(body).unwrap(), resp);
     }
 
     /// Decoding is total: arbitrary byte soup yields `Ok` or a
@@ -153,7 +154,7 @@ proptest! {
         let bytes: Vec<u8> = (0..len).map(|_| mix.next() as u8).collect();
         let _ = Request::decode(&bytes);
         let _ = Response::decode(&bytes);
-        let _ = read_frame(&mut bytes.as_slice(), 1 << 10);
+        let _ = FrameReader::new(1 << 10).read(&mut bytes.as_slice(), None);
     }
 
     /// Truncating a valid encoded request anywhere yields a clean error
@@ -254,14 +255,15 @@ fn boot() -> (
 /// Reads the server's reaction to a poisoned connection: either a
 /// best-effort `Error` frame (whose code is checked) or a bare close.
 fn expect_error_then_close(stream: &mut TcpStream, code: u8) {
-    match read_frame(stream, 1 << 20) {
+    let mut reader = FrameReader::new(1 << 20);
+    match reader.read(stream, None) {
         Ok(Some(body)) => {
-            match Response::decode(&body).expect("server sent an undecodable frame") {
+            match Response::decode(body).expect("server sent an undecodable frame") {
                 Response::Error { code: got, .. } => assert_eq!(got, code),
                 other => panic!("expected an error frame, got {other:?}"),
             }
             // After the error frame the server closes the connection.
-            match read_frame(stream, 1 << 20) {
+            match reader.read(stream, None) {
                 Ok(None) | Err(ProtoError::Io(_)) => {}
                 other => panic!("expected close after error frame, got {other:?}"),
             }
