@@ -48,7 +48,7 @@ type NodeEntries = Vec<((NodeId, Word), (Port, Option<Word>))>;
 /// let path = route(&scheme, asg.graph(), 7, 0).unwrap();
 /// assert_eq!(path.last(), Some(&0));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BgpStateTable {
     name: String,
     n: usize,

@@ -28,6 +28,11 @@
 //!   Table 1 classes, the valley-free route engine for `B1`–`B4` (with
 //!   `B4`'s `(word, length)` lexicographic weight).
 //!
+//! Every phase of every arm also checks the maintenance itself: each
+//! class's live scheme — kept current by an incremental factory for the
+//! Table 1 classes — must equal a fresh build of its factory, or the
+//! phase records a `scheme-drift` violation.
+//!
 //! Coverage entries are `multi:{class}:{family}`, so a sweep across
 //! seeds *proves* the classes × generator-families matrix from the
 //! report itself instead of asserting counts.
@@ -152,8 +157,9 @@ pub fn as_graph_for(graph: &Graph) -> AsGraph {
 
 /// Registers the standard twelve classes; see [`standard_classes`] for
 /// the order. Every factory derives weights/relationships from the
-/// topology, so the registry compiles — and rebuilds under churn — on
-/// any graph.
+/// topology, so the registry compiles — and follows churn — on any
+/// graph: the eight Table 1 classes through incremental factories that
+/// maintain their tables, the four BGP classes by rebuilding.
 pub fn standard_builder() -> MultiBuilder {
     let mut builder = MultiBuilder::new();
     for id in ALL_ALGEBRAS {
@@ -161,14 +167,16 @@ pub fn standard_builder() -> MultiBuilder {
             // Not regular: destination tables are inadmissible
             // (Proposition 2), so SW serves through its own
             // bottleneck-class tables.
-            builder.class(id.name(), |g: &Graph| {
-                let alg = crate::algebras::shortest_widest();
-                SwClassTable::build(g, &topology_weights(&alg, g))
-            })
+            let alg = crate::algebras::shortest_widest();
+            builder.class(
+                id.name(),
+                SwClassTable::factory(move |u, v| alg.weight_from_atom(synth_atom(u, v))),
+            )
         } else {
-            crate::with_algebra!(id, alg => builder.class(id.name(), move |g: &Graph| {
-                DestTable::build(g, &topology_weights(&alg, g), &alg)
-            }))
+            crate::with_algebra!(id, alg => builder.class(
+                id.name(),
+                DestTable::factory(alg, move |u, v| alg.weight_from_atom(synth_atom(u, v))),
+            ))
         };
     }
     builder = builder.class(BGP_CLASSES[0], |g: &Graph| {
@@ -528,6 +536,24 @@ fn check_bgp_class<A>(
     );
 }
 
+/// The maintenance arm: after every event, each live class's scheme —
+/// maintained in place by an incremental factory, or rebuilt — must
+/// equal a fresh build of its factory on the current topology. A
+/// mismatch is a `scheme-drift` violation.
+fn check_scheme_drift(report: &mut Report, tag: &str, phase: &str, multi: &MultiPlane) {
+    for class in multi.classes() {
+        if !class.scheme_is_fresh(multi.graph()) {
+            report.violations.push(violation(
+                tag,
+                class.class_name(),
+                phase,
+                "scheme-drift",
+                "the maintained scheme differs from a fresh build of its factory".to_owned(),
+            ));
+        }
+    }
+}
+
 /// One phase of [`check_multi_instance`]: every class against its own
 /// oracle, plus coverage entries `multi:{class}:{family}`.
 fn check_all_classes(
@@ -539,6 +565,7 @@ fn check_all_classes(
     cap: usize,
     hop_exact: bool,
 ) {
+    check_scheme_drift(report, tag, phase, multi);
     let snap = multi.snapshot();
     for (class, spec) in standard_classes().into_iter().enumerate() {
         if spec.family == TABLE1_FAMILY {
@@ -904,6 +931,7 @@ fn scale_check_bgp<A>(
 }
 
 fn scale_sweep(report: &mut Report, tag: &str, phase: &str, multi: &MultiPlane) {
+    check_scheme_drift(report, tag, phase, multi);
     let snap = multi.snapshot();
     // Hop-exact only when the plane's state is provably a fresh compile;
     // after the partial `repaired` patch the weight comparison carries
@@ -1150,6 +1178,7 @@ fn check_dynamic_registered(
     specs: &[DynamicClassSpec],
     hop_exact: bool,
 ) {
+    check_scheme_drift(report, tag, phase, multi);
     let snap = multi.snapshot();
     for spec in specs {
         let Some(class) = multi.class_index(spec.name) else {

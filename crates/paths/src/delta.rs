@@ -3,9 +3,10 @@
 //! Given the all-pairs preferred trees of a topology and an edge delta
 //! (removals *and* additions), [`DeltaTracker`] identifies the ordered
 //! `(source, target)` pairs whose preferred route can change — bounded
-//! by the delta's reach under the algebra, not all `n²` — and recomputes
-//! fresh [`PreferredTree`]s only for the sources that own an affected
-//! pair. Consumers (the self-healing forwarding plane, the serve
+//! by the delta's reach under the algebra, not all `n²` — and repairs
+//! the [`PreferredTree`]s of only the sources that own an affected pair,
+//! through the exact incremental twin of Dijkstra
+//! ([`TreeRepair`](crate::TreeRepair)). Consumers (the self-healing forwarding plane, the serve
 //! reconcile path) drive their repair off the affected set through the
 //! [`DeltaOracle`] trait instead of rebuilding from scratch.
 //!
@@ -59,6 +60,7 @@ use cpr_algebra::{PathWeight, RoutingAlgebra};
 use cpr_graph::{EdgeWeights, Graph, NodeId};
 
 use crate::dijkstra::dijkstra;
+use crate::repair::{EdgeChanges, TreeRepair};
 use crate::tree::PreferredTree;
 
 /// The pairs a topology delta can affect, as reported by a
@@ -105,7 +107,7 @@ pub struct DeltaReport {
     /// preferred tree rooted at `t`, so `(s, t)` is listed exactly when
     /// that tree's path to `s` may change.
     pub affected: BTreeSet<(NodeId, NodeId)>,
-    /// Tree roots whose preferred tree was recomputed (those owning at
+    /// Tree roots whose preferred tree was repaired (those owning at
     /// least one affected pair).
     pub recomputed_sources: usize,
 }
@@ -187,7 +189,7 @@ where
     }
 
     /// Advances the tracker to `new_graph`, returning the affected pairs
-    /// of the delta and recomputing the trees of affected sources.
+    /// of the delta and repairing the trees of affected sources.
     ///
     /// # Panics
     ///
@@ -277,19 +279,27 @@ where
             }
         }
 
-        // Recompute exactly the trees that own an affected pair; every
-        // other tree is provably identical to a from-scratch Dijkstra on
-        // the new graph.
+        // Repair exactly the trees that own an affected pair, each into
+        // the tree a from-scratch Dijkstra on the new graph would build;
+        // every other tree provably already is that tree.
         let sources: Vec<NodeId> = {
             let mut out: Vec<NodeId> = tree_affected.iter().map(|&(s, _)| s).collect();
             out.dedup();
             out
         };
-        let recomputed = cpr_core::par::par_map(&sources, |&s| {
-            dijkstra(new_graph, &new_weights, &self.alg, s)
-        });
-        for (s, tree) in sources.iter().copied().zip(recomputed) {
-            self.trees[s] = tree;
+        let changes = EdgeChanges {
+            removed: &removed,
+            added: &added,
+        };
+        let mut repair = TreeRepair::new();
+        for &s in &sources {
+            repair.repair_tree(
+                &mut self.trees[s],
+                new_graph,
+                &new_weights,
+                &self.alg,
+                changes,
+            );
         }
         self.graph = new_graph.clone();
         self.weights = new_weights;

@@ -21,7 +21,10 @@ use crate::tree::PreferredTree;
 /// truth.
 ///
 /// Ties in weight are broken deterministically by (fewer hops, smaller
-/// node id), so repeated runs yield identical trees.
+/// node id), so repeated runs yield identical trees — and the tree is a
+/// function of its labels, which is what lets
+/// [`TreeRepair`](crate::TreeRepair) repair it exactly across a
+/// topology change.
 ///
 /// # Examples
 ///
@@ -120,7 +123,7 @@ pub fn dijkstra<A: RoutingAlgebra>(
 /// Deterministic label comparison: strictly better weight wins; equal
 /// weight with strictly fewer hops wins; anything reached beats
 /// unreachable.
-fn better<A: RoutingAlgebra>(
+pub(crate) fn better<A: RoutingAlgebra>(
     alg: &A,
     cand: &PathWeight<A::W>,
     cand_hops: u32,

@@ -33,10 +33,20 @@ pub struct CmpHeap<T, F> {
 impl<T, F: Fn(&T, &T) -> Ordering> CmpHeap<T, F> {
     /// Creates an empty heap with the given comparator.
     pub fn new(cmp: F) -> Self {
-        CmpHeap {
-            items: Vec::new(),
-            cmp,
-        }
+        Self::with_buffer(Vec::new(), cmp)
+    }
+
+    /// An empty heap queuing into `buffer`'s allocation (its contents are
+    /// discarded), so a caller solving many trees reuses one buffer.
+    pub(crate) fn with_buffer(mut buffer: Vec<T>, cmp: F) -> Self {
+        buffer.clear();
+        CmpHeap { items: buffer, cmp }
+    }
+
+    /// The heap's allocation back, for the next
+    /// [`with_buffer`](Self::with_buffer).
+    pub(crate) fn into_buffer(self) -> Vec<T> {
+        self.items
     }
 
     /// Number of queued items.

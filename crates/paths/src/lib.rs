@@ -13,9 +13,13 @@
 //! * [`AllPairs`] — all-pairs preferred trees;
 //! * [`HopMatrix`] — all-pairs hop distances by parallel BFS, the flat
 //!   `u32` form stretch scoring wants at Internet scale;
+//! * [`TreeRepair`] — the exact incremental twin of [`dijkstra`]: repairs
+//!   a tree across an edge delta into the very tree `dijkstra` builds on
+//!   the new graph, touching only the nodes whose label or tie-break
+//!   winner can move;
 //! * [`DeltaTracker`] — affected-region delta recompute: given an edge
 //!   delta (removals *and* additions), bound the pairs whose preferred
-//!   route can change and recompute only the trees that own one.
+//!   route can change and repair only the trees that own one.
 //!
 //! ```
 //! use cpr_algebra::policies::ShortestPath;
@@ -41,6 +45,7 @@ mod dijkstra;
 mod exhaustive;
 mod heap;
 mod hops;
+mod repair;
 mod shortest_widest;
 mod tree;
 
@@ -51,5 +56,6 @@ pub use dijkstra::dijkstra;
 pub use exhaustive::{exhaustive_preferred, exhaustive_preferred_all, SourceRouting};
 pub use heap::CmpHeap;
 pub use hops::{bfs_hops, HopMatrix};
+pub use repair::{EdgeChanges, PriorParent, Repaired, TreeRepair};
 pub use shortest_widest::{shortest_widest_exact, SwWeight};
 pub use tree::PreferredTree;

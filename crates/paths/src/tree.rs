@@ -40,6 +40,19 @@ impl<W: Clone> PreferredTree<W> {
         }
     }
 
+    /// Overwrites `t`'s entry (used by the incremental repair).
+    pub(crate) fn set_entry(
+        &mut self,
+        t: NodeId,
+        weight: PathWeight<W>,
+        parent: Option<(NodeId, EdgeId)>,
+        hops: u32,
+    ) {
+        self.weight[t] = weight;
+        self.parent[t] = parent;
+        self.hops[t] = hops;
+    }
+
     /// The source node of this tree.
     pub fn source(&self) -> NodeId {
         self.source

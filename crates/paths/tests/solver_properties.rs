@@ -2,13 +2,19 @@
 //! structural invariants of preferred trees, on randomized graphs and
 //! weightings.
 
-use cpr_algebra::policies::{self, Capacity, MostReliablePath, ShortestPath, WidestPath};
-use cpr_algebra::{PathWeight, RoutingAlgebra};
-use cpr_graph::{generators, EdgeWeights, Graph};
-use cpr_paths::{bellman_ford, dijkstra, exhaustive_preferred, shortest_widest_exact, AllPairs};
+use cpr_algebra::policies::{
+    self, Capacity, HopCount, MostReliablePath, ShortestPath, Usable, UsablePath, WidestPath,
+};
+use cpr_algebra::{PathWeight, Ratio, RoutingAlgebra};
+use cpr_graph::{generators, EdgeWeights, Graph, NodeId};
+use cpr_paths::{
+    bellman_ford, dijkstra, exhaustive_preferred, shortest_widest_exact, AllPairs, EdgeChanges,
+    TreeRepair,
+};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
@@ -195,4 +201,239 @@ fn phi_composition_blocks_paths_in_bounded_algebra() {
         PathWeight::Finite(4),
         "the direct in-budget edge wins over the over-budget composition"
     );
+}
+
+/// A symmetric pseudo-random hash of an unordered node pair, so an edge
+/// keeps its weight across removal and restoration.
+fn pair_hash(u: NodeId, v: NodeId, salt: u64) -> u64 {
+    let (a, b) = (u.min(v) as u64, u.max(v) as u64);
+    let mut h = (a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+        .wrapping_add(salt);
+    h ^= h >> 29;
+    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h ^ (h >> 32)
+}
+
+fn edge_set(g: &Graph) -> BTreeSet<(NodeId, NodeId)> {
+    g.edges().map(|(_, (u, v))| (u.min(v), u.max(v))).collect()
+}
+
+/// One seeded churn step over a fixed node set: drop an edge, add a
+/// non-edge, restore an earlier casualty, crash a node (every edge it
+/// has, at once), cut a bridge, or remove and add in one delta.
+/// Removals rebuild the edge list in order, so ports shift at the
+/// endpoints; casualties are remembered for restoration.
+fn churn_step(g: &Graph, gone: &mut Vec<(NodeId, NodeId)>, rng: &mut impl Rng) -> Graph {
+    let n = g.node_count();
+    let edges: Vec<(NodeId, NodeId)> = g.edges().map(|(_, uv)| uv).collect();
+    let without = |drop: &BTreeSet<(NodeId, NodeId)>| {
+        let kept = edges
+            .iter()
+            .copied()
+            .filter(|&(u, v)| !drop.contains(&(u.min(v), u.max(v))));
+        Graph::from_edges(n, kept).expect("subgraph is simple")
+    };
+    let with_new = |g: &Graph, rng: &mut dyn FnMut() -> (NodeId, NodeId)| {
+        let mut g2 = g.clone();
+        for _ in 0..64 {
+            let (u, v) = rng();
+            if u != v && !g2.contains_edge(u, v) {
+                g2.add_edge(u, v).expect("non-edge adds cleanly");
+                break;
+            }
+        }
+        g2
+    };
+    let norm = |(u, v): (NodeId, NodeId)| (u.min(v), u.max(v));
+    match rng.gen_range(0..6) {
+        0 if !edges.is_empty() => {
+            let e = norm(edges[rng.gen_range(0..edges.len())]);
+            gone.push(e);
+            without(&BTreeSet::from([e]))
+        }
+        2 if !gone.is_empty() => {
+            let (u, v) = gone.swap_remove(rng.gen_range(0..gone.len()));
+            let mut g2 = g.clone();
+            if !g2.contains_edge(u, v) {
+                g2.add_edge(u, v).expect("restored edge is a non-edge");
+            }
+            g2
+        }
+        3 => {
+            let x = rng.gen_range(0..n);
+            let drop: BTreeSet<_> = g.neighbors(x).map(|(y, _)| norm((x, y))).collect();
+            gone.extend(drop.iter().copied());
+            without(&drop)
+        }
+        4 => {
+            // A bridge if there is one: the far side becomes unreachable.
+            let bridge = edges
+                .iter()
+                .copied()
+                .map(norm)
+                .find(|&e| !cpr_graph::traversal::is_connected(&without(&BTreeSet::from([e]))));
+            match bridge {
+                Some(e) => {
+                    gone.push(e);
+                    without(&BTreeSet::from([e]))
+                }
+                None => g.clone(),
+            }
+        }
+        5 if !edges.is_empty() => {
+            let e = norm(edges[rng.gen_range(0..edges.len())]);
+            gone.push(e);
+            let g2 = without(&BTreeSet::from([e]));
+            with_new(&g2, &mut || (rng.gen_range(0..n), rng.gen_range(0..n)))
+        }
+        _ => with_new(g, &mut || (rng.gen_range(0..n), rng.gen_range(0..n))),
+    }
+}
+
+/// Drives `steps` churn steps, repairing all `n` trees incrementally,
+/// and demands after every step that each equals a fresh `dijkstra`
+/// entry for entry — parent node and edge id, hops, weight. Every label
+/// is handed to `seen`; returns the repairs that fell back to a re-solve
+/// and the unreachable labels met.
+fn repair_tracks_dijkstra<A>(
+    alg: &A,
+    weigh: impl Fn(NodeId, NodeId) -> A::W,
+    seed: u64,
+    steps: usize,
+    mut seen: impl FnMut(&PathWeight<A::W>),
+) -> Result<(usize, usize), TestCaseError>
+where
+    A: RoutingAlgebra,
+{
+    let mut rng = rng(seed);
+    let n = rng.gen_range(8..16);
+    let mut g = generators::gnp_connected(n, 0.25, &mut rng);
+    let weights = |g: &Graph| {
+        EdgeWeights::from_fn(g, |e| {
+            let (u, v) = g.endpoints(e);
+            weigh(u, v)
+        })
+    };
+    let w = weights(&g);
+    let mut trees: Vec<_> = g.nodes().map(|s| dijkstra(&g, &w, alg, s)).collect();
+    let mut repair = TreeRepair::new();
+    let mut gone = Vec::new();
+    let mut unreached = 0usize;
+    for step in 0..steps {
+        let g2 = churn_step(&g, &mut gone, &mut rng);
+        let (before, after) = (edge_set(&g), edge_set(&g2));
+        let removed: Vec<_> = before.difference(&after).copied().collect();
+        let added: Vec<_> = after.difference(&before).copied().collect();
+        let w2 = weights(&g2);
+        for (s, tree) in trees.iter_mut().enumerate() {
+            repair.repair_tree(
+                tree,
+                &g2,
+                &w2,
+                alg,
+                EdgeChanges {
+                    removed: &removed,
+                    added: &added,
+                },
+            );
+            let fresh = dijkstra(&g2, &w2, alg, s);
+            for v in g2.nodes() {
+                prop_assert_eq!(
+                    tree.parent(v),
+                    fresh.parent(v),
+                    "{} seed {} step {}: parent of {} in tree {}",
+                    alg.name(),
+                    seed,
+                    step,
+                    v,
+                    s
+                );
+                prop_assert_eq!(tree.hops(v), fresh.hops(v), "hops of {} in tree {}", v, s);
+                prop_assert_eq!(
+                    tree.weight(v),
+                    fresh.weight(v),
+                    "weight of {} in tree {}",
+                    v,
+                    s
+                );
+                unreached += usize::from(v != s && tree.weight(v).is_infinite());
+                seen(tree.weight(v));
+            }
+        }
+        g = g2;
+    }
+    Ok((repair.fallbacks(), unreached))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The incremental twin is `dijkstra`, bit for bit, across random
+    /// churn on every regular Table 1 algebra — fine and coarse weights,
+    /// massive hop ties, selective ties — without ever falling back.
+    #[test]
+    fn tree_repair_equals_dijkstra_under_churn(seed in any::<u64>()) {
+        let mut fallbacks = 0;
+        fallbacks += repair_tracks_dijkstra(&ShortestPath, |u, v| 1 + pair_hash(u, v, 1) % 8, seed, 10, |_| {})?.0;
+        fallbacks += repair_tracks_dijkstra(&HopCount, |_, _| 1, seed ^ 1, 10, |_| {})?.0;
+        fallbacks += repair_tracks_dijkstra(
+            &WidestPath,
+            |u, v| Capacity::new(1 + pair_hash(u, v, 2) % 3).unwrap(),
+            seed ^ 2, 10, |_| {},
+        )?.0;
+        fallbacks += repair_tracks_dijkstra(&UsablePath, |_, _| Usable, seed ^ 3, 10, |_| {})?.0;
+        fallbacks += repair_tracks_dijkstra(
+            &policies::widest_shortest(),
+            |u, v| (1 + pair_hash(u, v, 4) % 3, Capacity::new(1 + pair_hash(u, v, 5) % 3).unwrap()),
+            seed ^ 4, 10, |_| {},
+        )?.0;
+        prop_assert_eq!(fallbacks, 0, "an isotone algebra fell back to a re-solve");
+    }
+
+    /// `bounded-shortest-path` with a tight budget: offers past the
+    /// budget compose to φ, so connected nodes go unreachable and come
+    /// back as churn shortens or lengthens their routes.
+    #[test]
+    fn tree_repair_handles_phi_offers(seed in any::<u64>()) {
+        let alg = policies::BoundedShortestPath::new(9);
+        let (fallbacks, unreached) =
+            repair_tracks_dijkstra(&alg, |u, v| 1 + pair_hash(u, v, 6) % 4, seed, 12, |_| {})?;
+        prop_assert_eq!(fallbacks, 0);
+        prop_assert!(unreached > 0, "the budget never bit");
+    }
+
+    /// `most-reliable-path` over large-prime denominators: products past
+    /// two hops overflow `u64` and round, so labels depend on the fold
+    /// order — which the repair reproduces exactly.
+    #[test]
+    fn tree_repair_folds_rounded_ratios_like_dijkstra(seed in any::<u64>()) {
+        const PRIMES: [u64; 4] = [2_147_483_647, 2_147_483_629, 1_999_999_973, 1_000_000_007];
+        let mut rounded = 0usize;
+        repair_tracks_dijkstra(
+            &MostReliablePath,
+            |u, v| {
+                let h = pair_hash(u, v, 7);
+                let den = PRIMES[(h % 4) as usize];
+                Ratio::new(den - 1 - (h >> 8) % (den / 2), den).unwrap()
+            },
+            seed,
+            8,
+            |w| rounded += usize::from(w.finite().is_some_and(|r| r.denom().is_power_of_two() && r.denom() > 1)),
+        )?;
+        prop_assert!(rounded > 0, "no product overflowed");
+    }
+
+    /// Shortest-widest is monotone but not isotone — a worse label can
+    /// make a better offer — and the repair still ends at `dijkstra`'s
+    /// tree.
+    #[test]
+    fn tree_repair_is_exact_for_non_isotone_sw(seed in any::<u64>()) {
+        repair_tracks_dijkstra(
+            &policies::shortest_widest(),
+            |u, v| (Capacity::new(1 + pair_hash(u, v, 8) % 3).unwrap(), 1 + pair_hash(u, v, 9) % 5),
+            seed,
+            10,
+            |_| {},
+        )?;
+    }
 }

@@ -39,7 +39,7 @@
 //!   silently wrong hop.
 
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cpr_graph::{Graph, NodeId};
 use cpr_paths::{DeltaOracle, DirtyPairs};
@@ -233,6 +233,11 @@ impl EdgeDelta {
                 .filter(|&(u, v)| !served.contains(u, v))
                 .collect(),
         }
+    }
+
+    /// [`graph_digest`] of the topology the delta starts from.
+    pub(crate) fn start_digest(&self) -> u64 {
+        self.from_digest
     }
 
     /// Edges served before that the observed topology lacks.
@@ -438,7 +443,7 @@ where
             match source {
                 DirtySource::Walks if delta.added.is_empty() => {
                     let removed = PairSet::from_pairs(n, delta.removed.iter().copied());
-                    self.mark_where(|plane, s, t| plane.walk_crosses(s, t, &removed));
+                    self.mark_closure(Closure::Crosses(&removed));
                 }
                 // A new link can improve any pair: all dirty.
                 DirtySource::Walks => self.mark_dirty(&DirtyPairs::All),
@@ -475,19 +480,7 @@ where
             DirtyPairs::Pairs(affected) => {
                 let affected =
                     PairSet::from_pairs(self.base.node_count(), affected.iter().copied());
-                self.mark_where(|plane, s, t| plane.walk_touches(s, t, &affected));
-            }
-        }
-    }
-
-    /// Dirties every ordered pair `hit` selects.
-    fn mark_where(&mut self, hit: impl Fn(&Self, NodeId, NodeId) -> bool) {
-        let n = self.base.node_count();
-        for s in 0..n {
-            for t in 0..n {
-                if s != t && hit(self, s, t) {
-                    self.dirty.insert(s, t);
-                }
+                self.mark_closure(Closure::Touches(&affected));
             }
         }
     }
@@ -504,70 +497,97 @@ where
         }
     }
 
-    /// Whether any node on the healed walk for `(s, t)` owns an affected
-    /// pair toward `t` (or the walk cannot be decided — conservatively
-    /// dirty). The walk runs over the plane's *current* (pre-delta)
-    /// view, which is exactly the route whose survival is in question.
-    fn walk_touches(&self, s: NodeId, t: NodeId, affected: &PairSet) -> bool {
-        if self.dirty.contains(s, t) || affected.contains(s, t) {
-            return true;
-        }
-        let Some(mut hid) = self.initial_of(s, t) else {
-            // Unroutable pairs that become routable are in `affected`
-            // (checked above); anything else stays unroutable.
-            return false;
-        };
-        let mut at = s;
-        let mut hops = 0usize;
-        loop {
-            match self.healed_decide(at, hid) {
-                HealedDecision::Deliver => return false,
-                HealedDecision::Forward { to, next } => {
-                    if to != t && affected.contains(to, t) {
-                        return true;
+    /// Dirties every ordered pair whose healed walk — over the plane's
+    /// *current*, pre-delta view, which is exactly the route whose
+    /// survival is in question — `rule` selects. A walk that cannot be
+    /// decided (an invalid state, a cycle, or more hops than the budget)
+    /// is conservatively dirty; a pair with no initial header stays as it
+    /// is (one that becomes routable is in the affected set itself).
+    ///
+    /// Walks are deterministic and share suffixes, so the pass runs per
+    /// target with one memo entry per `(node, header id)` state — its
+    /// hops to delivery, or that its suffix hits — and walks every state
+    /// at most once per target instead of once per pair through it. The
+    /// dirty set is identical to walking every pair on its own.
+    fn mark_closure(&mut self, rule: Closure<'_>) {
+        let n = self.base.node_count();
+        let mut newly = Vec::new();
+        CLOSURE_MEMO.with(|memo| {
+            let mut memo = memo.borrow_mut();
+            memo.begin(n, self.intern.order.len());
+            for t in 0..n {
+                memo.next_target();
+                for s in (0..n).filter(|&s| s != t) {
+                    if self.dirty.contains(s, t) {
+                        continue;
                     }
-                    at = to;
-                    hid = next;
-                    hops += 1;
-                    if hops > self.base.hop_budget() {
-                        return true;
+                    if rule.pair_hit(s, t) {
+                        newly.push((s, t));
+                        continue;
+                    }
+                    let Some(hid) = self.initial_of(s, t) else {
+                        continue;
+                    };
+                    let hops = self.walk_memo(&mut memo, rule, s, hid, t);
+                    if hops == MEMO_HIT || (hops - 1) as usize > self.base.hop_budget() {
+                        newly.push((s, t));
                     }
                 }
-                HealedDecision::Invalid => return true,
             }
+        });
+        for (s, t) in newly {
+            self.dirty.insert(s, t);
         }
     }
 
-    /// Whether the healed walk for `(s, t)` crosses any edge in
-    /// `removed`, or can no longer be decided (conservatively dirty).
-    /// Pairs that were already unroutable stay unroutable under edge
-    /// removal and are not dirtied.
-    fn walk_crosses(&self, s: NodeId, t: NodeId, removed: &PairSet) -> bool {
-        if self.dirty.contains(s, t) {
-            return true;
-        }
-        let Some(mut hid) = self.initial_of(s, t) else {
-            return false;
-        };
-        let mut at = s;
-        let mut hops = 0usize;
-        loop {
+    /// The memo value of state `(at, hid)` toward `t`: [`MEMO_HIT`] when
+    /// its walk hits under `rule` or cannot be decided, else one more than
+    /// its hops to delivery (capped just past the hop budget). Walks
+    /// forward to the first known state, then fills the path back.
+    fn walk_memo(
+        &self,
+        memo: &mut ClosureMemo,
+        rule: Closure<'_>,
+        mut at: NodeId,
+        mut hid: u32,
+        t: NodeId,
+    ) -> u32 {
+        let cap = self.base.hop_budget() as u32 + 2;
+        memo.path.clear();
+        let last = loop {
+            let cell = memo.cell(hid, at);
+            match memo.cells[cell] {
+                MEMO_UNSEEN => {}
+                // Back on this walk's own path: a forwarding loop.
+                MEMO_ON_PATH => break MEMO_HIT,
+                known if memo.path.is_empty() => return known,
+                known => break bump(known, cap),
+            }
+            memo.set(cell, MEMO_ON_PATH);
+            memo.path.push(cell);
             match self.healed_decide(at, hid) {
-                HealedDecision::Deliver => return false,
+                HealedDecision::Deliver => break 1,
+                HealedDecision::Invalid => break MEMO_HIT,
                 HealedDecision::Forward { to, next } => {
-                    if removed.contains(at.min(to), at.max(to)) {
-                        return true;
+                    if rule.step_hit(at, to, t) {
+                        break MEMO_HIT;
                     }
                     at = to;
                     hid = next;
-                    hops += 1;
-                    if hops > self.base.hop_budget() {
-                        return true;
-                    }
                 }
-                HealedDecision::Invalid => return true,
             }
+        };
+        // `last` belongs to the last state pushed; each earlier one is a
+        // hop further from delivery.
+        let Some(&first) = memo.path.first() else {
+            return last;
+        };
+        let mut value = last;
+        while let Some(cell) = memo.path.pop() {
+            memo.set(cell, value);
+            value = bump(value, cap);
         }
+        memo.cells[first]
     }
 
     /// The pair's initial header id through the patch layer.
@@ -633,10 +653,12 @@ where
         obs: &cpr_obs::Obs,
     ) -> Result<RepairStats, CompileError> {
         self.repair_delta(scheme, graph, None, source, policy, obs)
+            .map(|(stats, _)| stats)
     }
 
     /// [`repair`](Self::repair) with the event's edge delta handed down
-    /// (see [`EdgeDelta`]); `None` makes the plane diff for itself.
+    /// (see [`EdgeDelta`]); `None` makes the plane diff for itself. Also
+    /// returns the wall-clock the observe step took.
     pub(crate) fn repair_delta(
         &mut self,
         scheme: &S,
@@ -645,13 +667,14 @@ where
         source: DirtySource<'_>,
         policy: &RepairPolicy,
         obs: &cpr_obs::Obs,
-    ) -> Result<RepairStats, CompileError> {
+    ) -> Result<(RepairStats, Duration), CompileError> {
         let start = Instant::now();
         let span = obs.span(
             "heal.repair",
             &[("epoch", cpr_obs::Json::int(self.counters.epoch))],
         );
         self.observe_delta(graph, delta, source)?;
+        let observed = start.elapsed();
         let n = self.base.node_count();
         let all_pairs = n * n - n;
         let forced = n > 1
@@ -675,7 +698,7 @@ where
         if policy.record_budget_ms {
             obs.set_gauge("heal.repair_budget_ms", start.elapsed().as_millis() as i64);
         }
-        Ok(stats)
+        Ok((stats, observed))
     }
 
     /// [`repair`](Self::repair) with the dirty set bounded by `oracle`
@@ -1046,15 +1069,133 @@ enum HealedDecision {
     Invalid,
 }
 
+/// The rule a dirty-set closure walks by; see
+/// [`SelfHealingPlane::mark_closure`].
+#[derive(Clone, Copy)]
+enum Closure<'a> {
+    /// Dirty when the pair is affected itself, or its walk enters a node
+    /// (other than the target) owning an affected pair toward the target.
+    Touches(&'a PairSet),
+    /// Dirty when the walk crosses a removed edge.
+    Crosses(&'a PairSet),
+}
+
+impl Closure<'_> {
+    fn pair_hit(self, s: NodeId, t: NodeId) -> bool {
+        matches!(self, Closure::Touches(affected) if affected.contains(s, t))
+    }
+
+    fn step_hit(self, at: NodeId, to: NodeId, t: NodeId) -> bool {
+        match self {
+            Closure::Touches(affected) => to != t && affected.contains(to, t),
+            Closure::Crosses(removed) => removed.contains(at.min(to), at.max(to)),
+        }
+    }
+}
+
+/// Memo value: state not walked toward the current target yet.
+const MEMO_UNSEEN: u32 = 0;
+/// Memo value: state on the walk in progress.
+const MEMO_ON_PATH: u32 = u32::MAX;
+/// Memo value: the walk from this state hits, or cannot be decided.
+const MEMO_HIT: u32 = u32::MAX - 1;
+
+/// One hop further from delivery; hits stay hits, and counts stop just
+/// past the hop budget (`cap`), where every pair is dirty anyway.
+fn bump(value: u32, cap: u32) -> u32 {
+    if value == MEMO_HIT {
+        MEMO_HIT
+    } else {
+        (value + 1).min(cap)
+    }
+}
+
+/// The dirty-set closure's memo, for one target at a time: a row of `n`
+/// four-byte cells per header id the target's walks use, assigned on
+/// first sight. Cells written are reset when the next target starts, so
+/// a pass costs the states it walks, and the buffer stays a few rows. One
+/// buffer per thread serves every plane and class.
+#[derive(Default)]
+struct ClosureMemo {
+    n: usize,
+    /// `row[hid]`: the header's row for the current target, valid where
+    /// `stamp[hid] == target`.
+    row: Vec<u32>,
+    stamp: Vec<u32>,
+    target: u32,
+    rows: usize,
+    /// `rows × n` cells, [`MEMO_UNSEEN`] outside the current target.
+    cells: Vec<u32>,
+    written: Vec<usize>,
+    /// Cells of the walk in progress.
+    path: Vec<usize>,
+}
+
+impl ClosureMemo {
+    /// Readies the memo for a plane of `n` nodes and `headers` header
+    /// ids.
+    fn begin(&mut self, n: usize, headers: usize) {
+        self.next_target();
+        if self.n != n {
+            self.n = n;
+            self.cells.clear();
+        }
+        if self.row.len() < headers {
+            self.row.resize(headers, 0);
+            self.stamp.resize(headers, 0);
+        }
+    }
+
+    /// Forgets the current target.
+    fn next_target(&mut self) {
+        for cell in self.written.drain(..) {
+            self.cells[cell] = MEMO_UNSEEN;
+        }
+        self.rows = 0;
+        if self.target == u32::MAX {
+            self.stamp.fill(0);
+            self.target = 0;
+        }
+        self.target += 1;
+    }
+
+    /// The cell of state `(at, hid)`, assigning the header a row on
+    /// first sight.
+    fn cell(&mut self, hid: u32, at: NodeId) -> usize {
+        let h = hid as usize;
+        if self.stamp[h] != self.target {
+            self.stamp[h] = self.target;
+            self.row[h] = self.rows as u32;
+            self.rows += 1;
+            if self.cells.len() < self.rows * self.n {
+                self.cells.resize(self.rows * self.n, MEMO_UNSEEN);
+            }
+        }
+        self.row[h] as usize * self.n + at
+    }
+
+    fn set(&mut self, cell: usize, value: u32) {
+        if self.cells[cell] == MEMO_UNSEEN {
+            self.written.push(cell);
+        }
+        self.cells[cell] = value;
+    }
+}
+
+thread_local! {
+    static CLOSURE_MEMO: std::cell::RefCell<ClosureMemo> = std::cell::RefCell::default();
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
-    use cpr_algebra::policies::ShortestPath;
+    use cpr_algebra::policies::{Capacity, ShortestPath};
+    use cpr_bgp::{AsGraph, BgpStateTable, Relationship, ValleyFree};
     use cpr_graph::{generators, EdgeWeights};
     use cpr_paths::DeltaTracker;
-    use cpr_routing::DestTable;
+    use cpr_routing::{DestTable, SwClassTable};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1088,24 +1229,81 @@ mod tests {
         }
     }
 
-    /// The definition `observe` must implement for an affected-pair
-    /// set: a pair is dirty afterwards exactly when it was dirty before,
-    /// is affected itself, or its pre-delta healed walk visits a node
-    /// that owns an affected pair toward the same target.
-    fn brute_force_dirty(
-        before: &SelfHealingPlane<DestTable>,
-        affected: &BTreeSet<(NodeId, NodeId)>,
-    ) -> Vec<(NodeId, NodeId)> {
+    /// How a test hands `observe` its delta.
+    enum Rule<'a> {
+        /// `DirtySource::Pairs` of these affected pairs.
+        Pairs(&'a BTreeSet<(NodeId, NodeId)>),
+        /// `DirtySource::Walks` over a delta that removed these edges and
+        /// added `added` edges.
+        Walks(&'a [(NodeId, NodeId)], usize),
+    }
+
+    /// The pre-delta healed walk of `(s, t)` as a node sequence, walked
+    /// on its own; `None` when it cannot be decided (an invalid state, or
+    /// more hops than the budget).
+    fn plain_walk<S: RoutingScheme + Sync>(
+        plane: &SelfHealingPlane<S>,
+        s: NodeId,
+        mut hid: u32,
+    ) -> Option<Vec<NodeId>>
+    where
+        S::Header: Send,
+    {
+        let mut path = vec![s];
+        let mut at = s;
+        loop {
+            match plane.healed_decide(at, hid) {
+                HealedDecision::Deliver => return Some(path),
+                HealedDecision::Forward { to, next } => {
+                    path.push(to);
+                    (at, hid) = (to, next);
+                    if path.len() - 1 > plane.base.hop_budget() {
+                        return None;
+                    }
+                }
+                HealedDecision::Invalid => return None,
+            }
+        }
+    }
+
+    /// The definition `observe` must implement, walking every pair on
+    /// its own: a pair is dirty afterwards exactly when it was dirty
+    /// before, or — for an affected-pair set — it is affected itself or
+    /// its pre-delta healed walk visits a node that owns an affected pair
+    /// toward the same target; for the walk rule, its walk crosses a
+    /// removed edge, or any edge was added. A routable walk that cannot
+    /// be decided is dirty.
+    fn brute_force_dirty<S>(before: &SelfHealingPlane<S>, rule: &Rule<'_>) -> Vec<(NodeId, NodeId)>
+    where
+        S: RoutingScheme + Sync,
+        S::Header: Send,
+    {
         let n = before.base.node_count();
         let mut out = Vec::new();
         for s in 0..n {
             for t in (0..n).filter(|&t| t != s) {
-                let touched = before.initial_of(s, t).is_some()
-                    && match before.walk_healed(s, t) {
-                        Ok((path, _)) => path.iter().any(|&u| u != t && affected.contains(&(u, t))),
-                        Err(_) => true,
+                let walked = before
+                    .initial_of(s, t)
+                    .map(|hid| plain_walk(before, s, hid));
+                let dirty = before.dirty.contains(s, t)
+                    || match rule {
+                        Rule::Pairs(affected) => {
+                            affected.contains(&(s, t))
+                                || walked.is_some_and(|walk| {
+                                    walk.is_none_or(|path| {
+                                        path.iter().any(|&u| u != t && affected.contains(&(u, t)))
+                                    })
+                                })
+                        }
+                        Rule::Walks(_, added) if *added > 0 => true,
+                        Rule::Walks(removed, _) => walked.is_some_and(|walk| {
+                            walk.is_none_or(|path| {
+                                path.windows(2)
+                                    .any(|h| removed.contains(&(h[0].min(h[1]), h[0].max(h[1]))))
+                            })
+                        }),
                     };
-                if before.dirty.contains(s, t) || affected.contains(&(s, t)) || touched {
+                if dirty {
                     out.push((s, t));
                 }
             }
@@ -1113,37 +1311,61 @@ mod tests {
         out
     }
 
-    #[test]
-    fn observe_marks_exactly_the_walk_closure_of_the_affected_pairs() {
+    /// Drives one plane through seeded churn, demanding after every
+    /// delta that `observe` marked exactly [`brute_force_dirty`]. Every
+    /// third step leaves its dirt for the next delta to fold into.
+    /// Returns the (partial, carried-over) dirty sets exercised.
+    fn check_closure<S>(
+        scheme: impl Fn(&Graph) -> S,
+        walks: bool,
+        seeds: u64,
+        n: usize,
+    ) -> (usize, usize)
+    where
+        S: RoutingScheme + Sync,
+        S::Header: Send,
+    {
         let policy = RepairPolicy {
             max_dirty_fraction: 1.0,
             record_budget_ms: false,
         };
         let obs = cpr_obs::Obs::disabled();
         let (mut partial, mut carried) = (0usize, 0usize);
-        for seed in 0..6u64 {
+        for seed in 0..seeds {
             let mut rng = StdRng::seed_from_u64(0x0B5E_44E0 + seed);
-            let mut g = generators::gnp_connected(14, 0.2, &mut rng);
+            let mut g = generators::gnp_connected(n, 2.8 / n as f64, &mut rng);
             let mut plane = SelfHealingPlane::new(&scheme(&g), &g).unwrap();
             let mut tracker = DeltaTracker::new(ShortestPath, &g, weigh).with_hop_tiebreak(true);
             for step in 0..9 {
                 let g2 = churn_step(&g, &mut rng);
-                let affected = tracker.advance(&g2).affected;
+                let report = tracker.advance(&g2);
                 let before = plane.clone();
-                let expect = brute_force_dirty(&before, &affected);
-                let source = DirtyPairs::Pairs(affected);
-                let report = plane.observe(&g2, DirtySource::Pairs(&source)).unwrap();
-                assert!(report.stale);
+                let removed: Vec<_> = PairSet::of_edges(&g)
+                    .iter()
+                    .filter(|&(u, v)| !g2.contains_edge(u, v))
+                    .collect();
+                let (expect, observed) = if walks {
+                    let rule = Rule::Walks(&removed, report.added_edges);
+                    let expect = brute_force_dirty(&before, &rule);
+                    (expect, plane.observe(&g2, DirtySource::Walks).unwrap())
+                } else {
+                    let expect = brute_force_dirty(&before, &Rule::Pairs(&report.affected));
+                    let source = DirtyPairs::Pairs(report.affected);
+                    (
+                        expect,
+                        plane.observe(&g2, DirtySource::Pairs(&source)).unwrap(),
+                    )
+                };
+                assert!(observed.stale);
                 assert!(
                     plane.dirty.iter().eq(expect.iter().copied()),
-                    "seed {seed} step {step}: dirty set differs from the definition"
+                    "{} seed {seed} step {step}: dirty set differs from the definition",
+                    plane.base.scheme()
                 );
-                assert_eq!(report.dirty_pairs, expect.len());
+                assert_eq!(observed.dirty_pairs, expect.len());
                 assert_eq!(plane.current_edges, PairSet::of_edges(&g2));
-                partial += usize::from(!expect.is_empty() && expect.len() < 14 * 13);
+                partial += usize::from(!expect.is_empty() && expect.len() < n * (n - 1));
                 carried += usize::from(!before.dirty.is_empty());
-                // Every third step leaves the dirt for the next delta to
-                // fold into.
                 if step % 3 != 2 {
                     plane
                         .repair(&scheme(&g2), &g2, DirtySource::Walks, &policy, &obs)
@@ -1153,8 +1375,59 @@ mod tests {
                 g = g2;
             }
         }
+        (partial, carried)
+    }
+
+    /// Nodes of the shortest-widest instances: enough for its plane to
+    /// compile sparse.
+    const SW_N: usize = 48;
+
+    fn sw_scheme(g: &Graph) -> SwClassTable {
+        let w = EdgeWeights::from_fn(g, |e| {
+            let (u, v) = g.endpoints(e);
+            let (a, b) = (u.min(v) as u64, u.max(v) as u64);
+            (
+                Capacity::new(1 + (a * 31 + b * 17) % 23).unwrap(),
+                weigh(u, v),
+            )
+        });
+        SwClassTable::build(g, &w)
+    }
+
+    fn bgp_scheme(g: &Graph) -> BgpStateTable {
+        let rel = |u: NodeId, v: NodeId| match (u + v) % 4 {
+            0 => Relationship::Peer,
+            _ if u > v => Relationship::ProviderOf,
+            _ => Relationship::CustomerOf,
+        };
+        let asg = AsGraph::from_relationships(
+            g.node_count(),
+            g.edges().map(|(_, (u, v))| (u, v, rel(u, v))),
+        )
+        .unwrap();
+        BgpStateTable::build(&asg, &ValleyFree)
+    }
+
+    #[test]
+    fn observe_marks_exactly_the_walk_closure_of_the_affected_pairs() {
+        let (partial, carried) = check_closure(scheme, false, 6, 14);
         assert!(partial > 20, "only {partial} partial dirty sets exercised");
         assert!(carried > 6, "only {carried} deltas met carried-over dirt");
+        // Shortest-widest: a sparse plane with a header per (target,
+        // class); BGP: header-rewriting state walks.
+        let mut rng = StdRng::seed_from_u64(0x0B5E_44E0);
+        let g = generators::gnp_connected(SW_N, 2.8 / SW_N as f64, &mut rng);
+        let sparse = SelfHealingPlane::new(&sw_scheme(&g), &g).unwrap();
+        assert_eq!(sparse.base.memory().layout, "sparse");
+        assert!(check_closure(sw_scheme, false, 2, SW_N).0 > 10);
+        assert!(check_closure(bgp_scheme, false, 3, 14).0 > 10);
+    }
+
+    #[test]
+    fn observe_marks_exactly_the_walks_crossing_removed_edges() {
+        assert!(check_closure(scheme, true, 4, 14).0 > 10);
+        assert!(check_closure(sw_scheme, true, 2, SW_N).0 > 5);
+        assert!(check_closure(bgp_scheme, true, 3, 14).0 > 5);
     }
 
     /// A handed-down delta is used only when it starts at the topology

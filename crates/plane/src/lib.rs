@@ -78,7 +78,7 @@ pub use heal::{
 };
 pub use multi::{
     ClassMemory, ClassMiss, ClassPlane, ClassRegistration, MultiBuilder, MultiMemory, MultiPlane,
-    MultiRepairReport, MultiSnapshot, ServingClass, TypedClassPlane,
+    MultiRepairReport, MultiSnapshot, RepairTiming, ServingClass, TypedClassPlane,
 };
 pub use tenant::{
     build_tenant_class, dyn_edge_weights, sw_edge_weights, TenantClass, TenantError, MAX_CLASSES,
@@ -87,4 +87,6 @@ pub use tenant::{
 // healing APIs above consume them, so plane users (e.g. `cpr-serve`) need
 // no direct `cpr-paths` dependency.
 pub use cpr_paths::{DeltaOracle, DeltaReport, DeltaTracker, DirtyPairs, FullDirtyOracle};
+// Likewise the factory interface `MultiBuilder::class` takes.
+pub use cpr_routing::SchemeFactory;
 pub use workload::{generate, TrafficPattern};

@@ -41,10 +41,12 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cpr_graph::{Graph, NodeId};
-use cpr_paths::{DeltaOracle, DirtyPairs};
-use cpr_routing::{RouteError, RoutingScheme};
+use cpr_obs::Json;
+use cpr_paths::{DeltaOracle, DirtyPairs, EdgeChanges};
+use cpr_routing::{RouteError, RoutingScheme, SchemeFactory};
 
 use crate::compile::{graph_digest, CompileError, ForwardingPlane};
 use crate::engine::StaticCore;
@@ -55,7 +57,8 @@ use crate::pairset::PairSet;
 use crate::tenant::{build_tenant_class, TenantClass, TenantError, MAX_CLASSES};
 
 /// One served traffic class: a self-healing plane plus the scheme
-/// factory that rebuilds its live scheme when the topology moves.
+/// factory that maintains — or rebuilds — its live scheme when the
+/// topology moves.
 ///
 /// Object-safe so a [`MultiPlane`] can mix header types — Table 1
 /// destination tables (`Header = NodeId`) and BGP state tables
@@ -83,23 +86,31 @@ pub trait ClassPlane: Send + Sync {
         target: NodeId,
     ) -> Result<(Vec<NodeId>, Served), RouteError>;
 
-    /// Rebuilds the live scheme from the factory for `graph`, folds the
-    /// delta into this class's healing state through `source`, and
-    /// repairs the dirty pairs. `delta` is the event's edge delta,
-    /// computed once by [`MultiPlane::reconcile`] — which calls this
-    /// only on a real delta over an unchanged node set.
+    /// Brings the live scheme from `from` to `graph` — the factory's
+    /// incremental update when it has one and the scheme is current for
+    /// `from`, a full build otherwise — folds the delta into this class's
+    /// healing state through `source`, and repairs the dirty pairs.
+    /// `delta` is the event's edge delta from `from` to `graph`, computed
+    /// once by [`MultiPlane::reconcile`] — which calls this only on a real
+    /// delta over an unchanged node set.
     ///
     /// # Errors
     ///
     /// Same as [`SelfHealingPlane::repair`].
+    #[allow(clippy::too_many_arguments)]
     fn repair(
         &mut self,
+        from: &Graph,
         graph: &Graph,
         delta: &EdgeDelta,
         source: DirtySource<'_>,
         policy: &RepairPolicy,
         obs: &cpr_obs::Obs,
-    ) -> Result<RepairStats, CompileError>;
+    ) -> Result<(RepairStats, RepairTiming), CompileError>;
+
+    /// Whether the live scheme equals a fresh build of the class's
+    /// factory for `graph` — the maintained scheme has not drifted.
+    fn scheme_is_fresh(&self, graph: &Graph) -> bool;
 
     /// Pairs awaiting repair.
     fn dirty_pairs(&self) -> usize;
@@ -128,18 +139,35 @@ pub trait ClassPlane: Send + Sync {
 }
 
 /// The concrete [`ClassPlane`] for any scheme type: a name, a scheme
-/// factory (so topology changes can rebuild the live scheme), the
-/// current scheme, and the self-healing compiled plane.
+/// factory (so topology changes can maintain or rebuild the live
+/// scheme), the current scheme, and the self-healing compiled plane.
 pub struct TypedClassPlane<S: RoutingScheme> {
     name: String,
-    factory: Arc<dyn Fn(&Graph) -> S + Send + Sync>,
+    factory: Arc<dyn SchemeFactory<S>>,
     scheme: S,
+    /// [`graph_digest`] of the topology `scheme` is current for.
+    scheme_digest: u64,
     healing: SelfHealingPlane<S>,
+}
+
+/// Wall-clock split of one class's share of a reconcile — reported to
+/// the tracer only, never to the registry.
+#[derive(Clone, Copy, Debug)]
+pub struct RepairTiming {
+    /// Bringing the live scheme to the new topology.
+    pub update: Duration,
+    /// Folding the delta into the dirty set (the walk closure).
+    pub observe: Duration,
+    /// Patching the dirty pairs, or recompiling.
+    pub repair: Duration,
+    /// Whether the factory maintained the scheme incrementally (`false`:
+    /// it was rebuilt from scratch).
+    pub incremental: bool,
 }
 
 impl<S> TypedClassPlane<S>
 where
-    S: RoutingScheme + Clone + Send + Sync + 'static,
+    S: RoutingScheme + Clone + PartialEq + Send + Sync + 'static,
     S::Header: Send + Sync,
 {
     /// Builds the scheme from `factory` and compiles it over `graph`.
@@ -150,15 +178,15 @@ where
     pub fn new(
         name: impl Into<String>,
         graph: &Graph,
-        factory: impl Fn(&Graph) -> S + Send + Sync + 'static,
+        factory: impl SchemeFactory<S> + 'static,
     ) -> Result<Self, CompileError> {
-        let factory: Arc<dyn Fn(&Graph) -> S + Send + Sync> = Arc::new(factory);
-        let scheme = factory(graph);
+        let scheme = factory.build(graph);
         let healing = SelfHealingPlane::new(&scheme, graph)?;
         Ok(TypedClassPlane {
             name: name.into(),
-            factory,
+            factory: Arc::new(factory),
             scheme,
+            scheme_digest: healing.digest(),
             healing,
         })
     }
@@ -176,7 +204,7 @@ where
 
 impl<S> ClassPlane for TypedClassPlane<S>
 where
-    S: RoutingScheme + Clone + Send + Sync + 'static,
+    S: RoutingScheme + Clone + PartialEq + Send + Sync + 'static,
     S::Header: Send + Sync,
 {
     fn class_name(&self) -> &str {
@@ -202,17 +230,43 @@ where
 
     fn repair(
         &mut self,
+        from: &Graph,
         graph: &Graph,
         delta: &EdgeDelta,
         source: DirtySource<'_>,
         policy: &RepairPolicy,
         obs: &cpr_obs::Obs,
-    ) -> Result<RepairStats, CompileError> {
+    ) -> Result<(RepairStats, RepairTiming), CompileError> {
         // The live scheme must match the topology the pass falls back
-        // to and re-traces dirty pairs against.
-        self.scheme = (self.factory)(graph);
-        self.healing
-            .repair_delta(&self.scheme, graph, Some(delta), source, policy, obs)
+        // to and re-traces dirty pairs against. The factory maintains it
+        // only from the topology it is current for; anything else is a
+        // full build.
+        let started = Instant::now();
+        let changes = EdgeChanges {
+            removed: delta.removed(),
+            added: delta.added(),
+        };
+        let incremental = self.scheme_digest == delta.start_digest()
+            && self.factory.update(&mut self.scheme, from, graph, changes);
+        if !incremental {
+            self.scheme = self.factory.build(graph);
+        }
+        self.scheme_digest = delta.to_digest();
+        let update = started.elapsed();
+        let (stats, observe) =
+            self.healing
+                .repair_delta(&self.scheme, graph, Some(delta), source, policy, obs)?;
+        let timing = RepairTiming {
+            update,
+            observe,
+            repair: started.elapsed() - update - observe,
+            incremental,
+        };
+        Ok((stats, timing))
+    }
+
+    fn scheme_is_fresh(&self, graph: &Graph) -> bool {
+        self.scheme == self.factory.build(graph)
     }
 
     fn dirty_pairs(&self) -> usize {
@@ -251,6 +305,7 @@ where
             name: self.name.clone(),
             factory: Arc::clone(&self.factory),
             scheme: self.scheme.clone(),
+            scheme_digest: self.scheme_digest,
             healing: self.healing.clone(),
         })
     }
@@ -275,16 +330,19 @@ impl MultiBuilder {
     }
 
     /// Registers a class under `name`: `factory` builds the scheme for
-    /// any topology (fresh compile *and* later churn rebuilds). Classes
-    /// are served in registration order — the wire protocol's traffic
-    /// class `k` is the `k`-th registration.
+    /// any topology — the fresh compile — and keeps it current under
+    /// churn: a closure `Fn(&Graph) -> S` rebuilds it on every event, an
+    /// incremental factory ([`DestTable::factory`](cpr_routing::DestTable::factory),
+    /// [`SwClassTable::factory`](cpr_routing::SwClassTable::factory))
+    /// maintains it. Classes are served in registration order — the wire
+    /// protocol's traffic class `k` is the `k`-th registration.
     pub fn class<S>(
         mut self,
         name: impl Into<String>,
-        factory: impl Fn(&Graph) -> S + Send + Sync + 'static,
+        factory: impl SchemeFactory<S> + 'static,
     ) -> Self
     where
-        S: RoutingScheme + Clone + Send + Sync + 'static,
+        S: RoutingScheme + Clone + PartialEq + Send + Sync + 'static,
         S::Header: Send + Sync,
     {
         let name = name.into();
@@ -940,7 +998,25 @@ impl MultiPlane {
                 Some(oracle) => DirtySource::Oracle(oracle.as_mut()),
                 None => DirtySource::Pairs(&dirty),
             };
-            let stats = plane.repair(graph, &delta, source, policy, obs)?;
+            let span = obs.span("multi.class", &[("class", Json::str(plane.class_name()))]);
+            let (stats, timing) = plane.repair(&self.graph, graph, &delta, source, policy, obs)?;
+            span.event(
+                "multi.class.timing",
+                &[
+                    ("update_us", Json::int(timing.update.as_micros())),
+                    ("observe_us", Json::int(timing.observe.as_micros())),
+                    ("repair_us", Json::int(timing.repair.as_micros())),
+                    (
+                        "scheme",
+                        Json::str(if timing.incremental {
+                            "updated"
+                        } else {
+                            "rebuilt"
+                        }),
+                    ),
+                ],
+            );
+            drop(span);
             class_stats.push((plane.class_name().to_string(), stats));
         }
         dedupe_substrate(&mut self.classes);
@@ -950,14 +1026,11 @@ impl MultiPlane {
         obs.event(
             "multi.reconcile",
             &[
-                ("epoch", cpr_obs::Json::int(self.epoch as i64)),
-                ("classes", cpr_obs::Json::int(self.classes.len() as i64)),
-                ("removed", cpr_obs::Json::int(removed.len() as i64)),
-                ("added", cpr_obs::Json::int(added.len() as i64)),
-                (
-                    "shared_dirty",
-                    cpr_obs::Json::int(shared_dirty_pairs as i64),
-                ),
+                ("epoch", Json::int(self.epoch as i64)),
+                ("classes", Json::int(self.classes.len() as i64)),
+                ("removed", Json::int(removed.len() as i64)),
+                ("added", Json::int(added.len() as i64)),
+                ("shared_dirty", Json::int(shared_dirty_pairs as i64)),
             ],
         );
         Ok(MultiRepairReport {

@@ -5,9 +5,9 @@
 //! gate) and the multi-plane: an admitted [`Decision`] names a scheme
 //! ([`SchemeChoice`]), and this module builds the matching
 //! [`TypedClassPlane`] with a *topology-closed* factory — edge weights
-//! derive from [`pair_atom`] endpoint hashes, so churn rebuilds weigh
-//! any future graph deterministically, and an external oracle using the
-//! same hash can never disagree with the plane.
+//! derive from [`pair_atom`] endpoint hashes, so churn maintains or
+//! rebuilds the scheme on any future graph deterministically, and an
+//! external oracle using the same hash can never disagree with the plane.
 //!
 //! Inadmissible expressions are rejected **before** any compilation
 //! work: [`build_tenant_class`] runs the gate first and returns
@@ -18,7 +18,7 @@ use std::fmt;
 
 use cpr_algebra::expr::{decide_text, Decision, DynAlgebra, DynWeight, ExprError, Rejection};
 use cpr_algebra::{pair_atom, SchemeChoice};
-use cpr_graph::{EdgeWeights, Graph};
+use cpr_graph::{EdgeWeights, Graph, NodeId};
 use cpr_paths::SwWeight;
 use cpr_routing::{CowenScheme, DestTable, LandmarkStrategy, SwClassTable};
 use rand::rngs::StdRng;
@@ -87,7 +87,7 @@ impl From<CompileError> for TenantError {
 pub fn dyn_edge_weights(alg: &DynAlgebra, graph: &Graph) -> EdgeWeights<DynWeight> {
     EdgeWeights::from_fn(graph, |e| {
         let (u, v) = graph.endpoints(e);
-        alg.weight_from_atom(pair_atom(u as u64, v as u64))
+        dyn_weight(alg, u, v)
     })
 }
 
@@ -102,14 +102,26 @@ pub fn dyn_edge_weights(alg: &DynAlgebra, graph: &Graph) -> EdgeWeights<DynWeigh
 pub fn sw_edge_weights(alg: &DynAlgebra, graph: &Graph) -> EdgeWeights<SwWeight> {
     EdgeWeights::from_fn(graph, |e| {
         let (u, v) = graph.endpoints(e);
-        match alg.weight_from_atom(pair_atom(u as u64, v as u64)) {
-            DynWeight::Pair(a, b) => match (*a, *b) {
-                (DynWeight::Cap(c), DynWeight::Int(s)) => (c, s),
-                (a, b) => panic!("sw carrier must be (capacity, int); got ({a}, {b})"),
-            },
-            w => panic!("sw carrier must be a pair; got {w}"),
-        }
+        sw_weight(alg, u, v)
     })
+}
+
+/// Edge `{u, v}`'s weight under `alg`: the [`pair_atom`] endpoint hash,
+/// interpreted.
+fn dyn_weight(alg: &DynAlgebra, u: NodeId, v: NodeId) -> DynWeight {
+    alg.weight_from_atom(pair_atom(u as u64, v as u64))
+}
+
+/// [`dyn_weight`] projected to `(Capacity, cost)`; see
+/// [`sw_edge_weights`].
+fn sw_weight(alg: &DynAlgebra, u: NodeId, v: NodeId) -> SwWeight {
+    match dyn_weight(alg, u, v) {
+        DynWeight::Pair(a, b) => match (*a, *b) {
+            (DynWeight::Cap(c), DynWeight::Int(s)) => (c, s),
+            (a, b) => panic!("sw carrier must be (capacity, int); got ({a}, {b})"),
+        },
+        w => panic!("sw carrier must be a pair; got {w}"),
+    }
 }
 
 fn fnv64(text: &str) -> u64 {
@@ -154,19 +166,24 @@ pub fn build_tenant_class(
         }
     };
     let alg = decision.algebra.clone();
+    // The two table schemes are maintained across churn by their
+    // incremental factories; Cowen's landmark draw is rebuilt.
     let plane: Box<dyn ClassPlane> = match scheme {
-        SchemeChoice::DestTable => Box::new(TypedClassPlane::new(name, graph, move |g| {
-            DestTable::build(g, &dyn_edge_weights(&alg, g), &alg)
-        })?),
-        SchemeChoice::SwClassTable => Box::new(TypedClassPlane::new(name, graph, move |g| {
-            SwClassTable::build(g, &sw_edge_weights(&alg, g))
-        })?),
+        SchemeChoice::DestTable => {
+            let weigh = alg.clone();
+            let factory = DestTable::factory(alg, move |u, v| dyn_weight(&weigh, u, v));
+            Box::new(TypedClassPlane::new(name, graph, factory)?)
+        }
+        SchemeChoice::SwClassTable => {
+            let factory = SwClassTable::factory(move |u, v| sw_weight(&alg, u, v));
+            Box::new(TypedClassPlane::new(name, graph, factory)?)
+        }
         SchemeChoice::Cowen => {
             // The landmark draw is seeded from the canonical expression
             // text, so churn rebuilds of the same class are
             // deterministic — and so is any external replica.
             let seed = fnv64(decision.algebra.text()) ^ 0x7465_6e61_6e74;
-            Box::new(TypedClassPlane::new(name, graph, move |g| {
+            Box::new(TypedClassPlane::new(name, graph, move |g: &Graph| {
                 let mut rng = StdRng::seed_from_u64(seed);
                 CowenScheme::build(
                     g,

@@ -44,21 +44,23 @@
 #![warn(missing_docs)]
 
 pub mod bits;
+mod factory;
 mod scheme;
 pub mod schemes;
 mod tree;
 mod verify;
 
+pub use factory::SchemeFactory;
 pub use scheme::{route, MemoryReport, RouteAction, RouteError, RoutingScheme};
 pub use schemes::cowen::{CowenLabel, CowenScheme, LandmarkStrategy};
-pub use schemes::dest_table::DestTable;
+pub use schemes::dest_table::{DestTable, DestTableFactory};
 pub use schemes::interval_tree::IntervalTreeRouting;
 pub use schemes::label_swapping::LabelSwapping;
 pub use schemes::spanning_tree::{
     all_spanning_trees, preferred_spanning_tree, verify_tree_optimality, TreeViolation, UnionFind,
 };
 pub use schemes::src_dest_table::SrcDestTable;
-pub use schemes::sw_class_table::{SwClassTable, SwHeader};
+pub use schemes::sw_class_table::{SwClassTable, SwClassTableFactory, SwHeader};
 pub use schemes::tz_tree::{TzLabel, TzTreeRouting};
 pub use tree::{RootedTree, TreeError};
 pub use verify::{verify_scheme, StretchReport};

@@ -82,7 +82,7 @@ pub struct CowenLabel {
 /// );
 /// assert_eq!(route(&scheme, &g, 0, 33).unwrap().last(), Some(&33));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CowenScheme {
     name: String,
     n: usize,

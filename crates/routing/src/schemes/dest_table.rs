@@ -8,10 +8,12 @@
 
 use cpr_algebra::RoutingAlgebra;
 use cpr_graph::{EdgeWeights, Graph, NodeId, Port};
-use cpr_paths::dijkstra;
+use cpr_paths::{dijkstra, EdgeChanges, PriorParent, TreeRepair};
 
 use crate::bits::{node_id_bits, port_bits};
+use crate::factory::SchemeFactory;
 use crate::scheme::{RouteAction, RoutingScheme};
+use crate::schemes::{narrow, port_moves, CUT, NONE};
 
 /// Destination-indexed routing tables: `table[u][t]` is the local port at
 /// `u` of the first edge along the preferred `u → t` path.
@@ -28,10 +30,14 @@ use crate::scheme::{RouteAction, RoutingScheme};
 /// let scheme = DestTable::build(&g, &w, &ShortestPath);
 /// assert_eq!(route(&scheme, &g, 0, 2).unwrap(), vec![0, 1, 2]);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DestTable {
     name: String,
-    table: Vec<Vec<Option<Port>>>,
+    n: usize,
+    /// `table[u · n + t]`: the port at `u` towards `t`, [`NONE`] when
+    /// there is none. Flat and 32 bits per entry: the scheme is cloned
+    /// into every serving snapshot.
+    table: Vec<u32>,
     degree: Vec<usize>,
 }
 
@@ -64,19 +70,25 @@ impl DestTable {
             graph
                 .nodes()
                 .map(|u| {
-                    tree.parent(u).map(|(parent, _)| {
-                        graph
-                            .port_towards(u, parent)
-                            .expect("tree edge must exist in the graph")
+                    tree.parent(u).map_or(NONE, |(parent, _)| {
+                        narrow(
+                            graph
+                                .port_towards(u, parent)
+                                .expect("tree edge must exist in the graph"),
+                        )
                     })
                 })
-                .collect::<Vec<Option<Port>>>()
+                .collect::<Vec<u32>>()
         });
-        let table = (0..n)
-            .map(|u| (0..n).map(|t| per_target[t][u]).collect())
-            .collect();
+        let mut table = vec![NONE; n * n];
+        for (t, column) in per_target.iter().enumerate() {
+            for (u, &port) in column.iter().enumerate() {
+                table[u * n + t] = port;
+            }
+        }
         DestTable {
             name: format!("dest-table[{}]", alg.name()),
+            n,
             table,
             degree: graph.nodes().map(|v| graph.degree(v)).collect(),
         }
@@ -86,16 +98,140 @@ impl DestTable {
     /// schemes that compute paths with a non-Dijkstra solver.
     pub fn from_first_hops(name: String, hops: Vec<Vec<Option<Port>>>, degree: Vec<usize>) -> Self {
         assert_eq!(hops.len(), degree.len());
+        let n = hops.len();
+        let mut table = Vec::with_capacity(n * n);
+        for row in &hops {
+            assert_eq!(row.len(), n, "one entry per destination");
+            table.extend(row.iter().map(|hop| hop.map_or(NONE, narrow)));
+        }
         DestTable {
             name,
-            table: hops,
+            n,
+            table,
             degree,
+        }
+    }
+
+    /// The incremental factory of a destination-table class over `alg`,
+    /// edge `{u, v}` weighing `weigh(u, v)`: it builds with
+    /// [`build`](Self::build) and maintains with [`update`](Self::update).
+    /// `weigh` must be symmetric, so an edge weighs the same on either
+    /// side of a topology step.
+    pub fn factory<A, F>(alg: A, weigh: F) -> DestTableFactory<A, F>
+    where
+        F: Fn(NodeId, NodeId) -> A::W,
+        A: RoutingAlgebra,
+    {
+        DestTableFactory { alg, weigh }
+    }
+
+    /// Maintains the tables, built (or last updated) for `from`, across
+    /// one topology step to `to`: afterwards they equal
+    /// `DestTable::build(to, weights, alg)` entry for entry.
+    ///
+    /// The table *is* each destination's in-tree, so every destination's
+    /// tree is repaired by [`TreeRepair`] — node-granular, touching only
+    /// the nodes whose label or tie-break winner can move — with labels
+    /// folded from the tables on demand, never stored. Rows of nodes
+    /// whose port numbering moved (the endpoints of every changed edge)
+    /// are renumbered first.
+    ///
+    /// `weights` weigh `to`; every edge of both graphs must weigh the
+    /// same in both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either graph's node count differs from the tables'.
+    pub fn update<A: RoutingAlgebra>(
+        &mut self,
+        from: &Graph,
+        to: &Graph,
+        changes: EdgeChanges<'_>,
+        weights: &EdgeWeights<A::W>,
+        alg: &A,
+    ) {
+        let n = self.n;
+        assert_eq!(from.node_count(), n, "tables built for another node count");
+        assert_eq!(to.node_count(), n, "tables built for another node count");
+        for (v, moves) in port_moves(from, to) {
+            for port in &mut self.table[v * n..(v + 1) * n] {
+                if *port != NONE {
+                    *port = moves[*port as usize];
+                }
+            }
+        }
+        self.degree = to.nodes().map(|v| to.degree(v)).collect();
+        let mut repair = TreeRepair::new();
+        for t in 0..n {
+            let table = &self.table;
+            let prior = |v: NodeId| match table[v * n + t] {
+                NONE => PriorParent::Unreached,
+                CUT => PriorParent::Cut,
+                port => {
+                    let (node, edge) = to
+                        .neighbor_at(v, port as Port)
+                        .expect("a renumbered port is a port of the new graph");
+                    PriorParent::Via { node, edge }
+                }
+            };
+            for r in repair.repair(to, weights, alg, t, prior, changes) {
+                self.table[r.node * n + t] = r.parent.map_or(NONE, |(_, _, port)| narrow(port));
+            }
         }
     }
 
     /// The port `u` uses towards `t`, if routable.
     pub fn port(&self, u: NodeId, t: NodeId) -> Option<Port> {
-        self.table[u][t]
+        match self.table[u * self.n + t] {
+            NONE => None,
+            port => Some(port as Port),
+        }
+    }
+}
+
+/// A [`SchemeFactory`] that maintains a [`DestTable`] across topology
+/// steps instead of rebuilding it; see [`DestTable::factory`].
+pub struct DestTableFactory<A, F> {
+    alg: A,
+    weigh: F,
+}
+
+impl<A, F> DestTableFactory<A, F>
+where
+    A: RoutingAlgebra,
+    F: Fn(NodeId, NodeId) -> A::W,
+{
+    fn weights(&self, graph: &Graph) -> EdgeWeights<A::W> {
+        EdgeWeights::from_fn(graph, |e| {
+            let (u, v) = graph.endpoints(e);
+            (self.weigh)(u, v)
+        })
+    }
+}
+
+impl<A, F> SchemeFactory<DestTable> for DestTableFactory<A, F>
+where
+    A: RoutingAlgebra + Send + Sync,
+    A::W: Send + Sync,
+    F: Fn(NodeId, NodeId) -> A::W + Send + Sync,
+{
+    fn build(&self, graph: &Graph) -> DestTable {
+        DestTable::build(graph, &self.weights(graph), &self.alg)
+    }
+
+    fn update(
+        &self,
+        scheme: &mut DestTable,
+        from: &Graph,
+        to: &Graph,
+        changes: EdgeChanges<'_>,
+    ) -> bool {
+        let n = scheme.n;
+        if from.node_count() != n || to.node_count() != n {
+            return false;
+        }
+        scheme.update(from, to, changes, &self.weights(to), &self.alg);
+        true
     }
 }
 
@@ -107,11 +243,11 @@ impl RoutingScheme for DestTable {
     }
 
     fn node_count(&self) -> usize {
-        self.table.len()
+        self.n
     }
 
     fn initial_header(&self, source: NodeId, target: NodeId) -> Option<NodeId> {
-        if source == target || self.table[source][target].is_some() {
+        if source == target || self.table[source * self.n + target] != NONE {
             Some(target)
         } else {
             None
@@ -123,18 +259,16 @@ impl RoutingScheme for DestTable {
         if at == target {
             return RouteAction::Deliver;
         }
-        match self.table[at][target] {
-            Some(port) => RouteAction::Forward {
-                port,
-                header: target,
-            },
-            // A reachable pair always has an entry when the algebra is
-            // regular; forwarding on port 0 here would mask scheme bugs,
-            // so misroute loudly instead.
-            None => RouteAction::Forward {
-                port: usize::MAX,
-                header: target,
-            },
+        // A reachable pair always has an entry when the algebra is
+        // regular; forwarding on port 0 here would mask scheme bugs, so
+        // misroute loudly instead.
+        let port = match self.table[at * self.n + target] {
+            NONE => usize::MAX,
+            port => port as Port,
+        };
+        RouteAction::Forward {
+            port,
+            header: target,
         }
     }
 
@@ -142,16 +276,16 @@ impl RoutingScheme for DestTable {
         // One port per *other* destination, stored as a dense array
         // indexed by destination id (so no keys are stored), plus one
         // reachability bit per destination.
-        let entries = (self.table.len() - 1) as u64;
+        let entries = (self.n - 1) as u64;
         entries * (port_bits(self.degree[v]) + 1)
     }
 
     fn label_bits(&self, _v: NodeId) -> u64 {
-        node_id_bits(self.table.len())
+        node_id_bits(self.n)
     }
 
     fn header_bits(&self) -> u64 {
-        node_id_bits(self.table.len())
+        node_id_bits(self.n)
     }
 }
 

@@ -22,12 +22,14 @@
 //! bound is not tight when capacities are coarse-grained (e.g. standard
 //! link rates).
 
-use cpr_algebra::policies::{Capacity, ShortestPath};
+use cpr_algebra::policies::{Capacity, ShortestPath, WidestPath};
 use cpr_graph::{EdgeWeights, Graph, NodeId, Port};
-use cpr_paths::{dijkstra, SwWeight};
+use cpr_paths::{dijkstra, EdgeChanges, PreferredTree, PriorParent, SwWeight, TreeRepair};
 
 use crate::bits::{ceil_log2, node_id_bits, port_bits};
+use crate::factory::SchemeFactory;
 use crate::scheme::{RouteAction, RoutingScheme};
+use crate::schemes::{narrow, port_moves, NONE};
 
 /// The header: the destination and its bottleneck-class index (an index
 /// into the sorted list of distinct edge capacities).
@@ -42,6 +44,12 @@ pub struct SwHeader {
 /// Destination-based-per-class routing tables for shortest-widest path.
 /// See module docs.
 ///
+/// A built table also keeps the parents of every tree it was read off,
+/// which is what [`update`](Self::update) repairs. That state lives on
+/// the copy a build returns only: a clone — what a serving snapshot
+/// holds — carries the routing tables alone, and equality compares the
+/// routing tables alone.
+///
 /// # Examples
 ///
 /// ```
@@ -54,7 +62,7 @@ pub struct SwHeader {
 /// let scheme = SwClassTable::build(&g, &w);
 /// assert_eq!(route(&scheme, &g, 0, 3).unwrap().last(), Some(&3));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SwClassTable {
     n: usize,
     /// The distinct capacities, ascending; `classes[i]` is class `i`.
@@ -68,17 +76,86 @@ pub struct SwClassTable {
     /// `s`; [`NONE`] when `t` is unreachable from `s`.
     class_of: Vec<u32>,
     degree: Vec<usize>,
+    /// The trees behind the tables; `None` on a clone.
+    trees: Option<SwTrees>,
 }
 
-/// The "no entry" value of the flat tables (ports and class indices are
-/// checked to stay below it at build time).
-const NONE: u32 = u32::MAX;
+/// The parent of every node in every tree an [`SwClassTable`] was read
+/// off, [`NONE`] for roots and unreachable nodes — ≤ `(k + 1)·n²` words,
+/// kept for incremental maintenance only.
+#[derive(Debug)]
+struct SwTrees {
+    /// `cost[(class · n + s) · n + v]`: `v`'s parent in the cost tree
+    /// rooted at `s` within the class-`class` subgraph.
+    cost: Vec<u32>,
+    /// `widest[s · n + v]`: `v`'s parent in the widest-path tree rooted
+    /// at `s`, whose labels are the class indices.
+    widest: Vec<u32>,
+}
 
-fn narrow(v: usize) -> u32 {
-    u32::try_from(v)
-        .ok()
-        .filter(|&v| v != NONE)
-        .expect("port / class index fits 32 bits")
+impl Clone for SwClassTable {
+    fn clone(&self) -> Self {
+        SwClassTable {
+            n: self.n,
+            classes: self.classes.clone(),
+            tables: self.tables.clone(),
+            class_of: self.class_of.clone(),
+            degree: self.degree.clone(),
+            trees: None,
+        }
+    }
+}
+
+impl PartialEq for SwClassTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.classes == other.classes
+            && self.tables == other.tables
+            && self.class_of == other.class_of
+            && self.degree == other.degree
+    }
+}
+
+impl Eq for SwClassTable {}
+
+/// A tree's parents as table words.
+fn parent_words<W: Clone>(tree: &PreferredTree<W>) -> Vec<u32> {
+    (0..tree.len())
+        .map(|v| tree.parent(v).map_or(NONE, |(p, _)| narrow(p)))
+        .collect()
+}
+
+/// A stored parent word of `v` as `graph` sees it.
+fn prior_in(graph: &Graph, parent: u32, v: NodeId) -> PriorParent {
+    match parent {
+        NONE => PriorParent::Unreached,
+        p => graph
+            .edge_between(p as NodeId, v)
+            .map_or(PriorParent::Cut, |edge| PriorParent::Via {
+                node: p as NodeId,
+                edge,
+            }),
+    }
+}
+
+/// The distinct capacities of a weighting, ascending.
+fn capacity_classes(weights: &EdgeWeights<SwWeight>) -> Vec<Capacity> {
+    let mut classes: Vec<Capacity> = (0..weights.len()).map(|e| weights.weight(e).0).collect();
+    classes.sort_unstable();
+    classes.dedup();
+    classes
+}
+
+/// The class-`b` subgraph — edges of capacity at least `b` — weighted by
+/// cost. It shares node ids, but not port numbers, with the host graph.
+fn class_subgraph(
+    graph: &Graph,
+    weights: &EdgeWeights<SwWeight>,
+    b: Capacity,
+) -> (Graph, EdgeWeights<u64>) {
+    let (sub, origin) = graph.filter_edges(|e, _| weights.weight(e).0 >= b);
+    let sub_w = EdgeWeights::from_vec(&sub, origin.iter().map(|&e| weights.weight(e).1).collect());
+    (sub, sub_w)
 }
 
 impl SwClassTable {
@@ -96,76 +173,231 @@ impl SwClassTable {
         let n = graph.node_count();
         assert_eq!(weights.len(), graph.edge_count(), "weighting mismatch");
 
-        let mut classes: Vec<Capacity> = (0..graph.edge_count())
-            .map(|e| weights.weight(e).0)
-            .collect();
-        classes.sort_unstable();
-        classes.dedup();
-
+        let classes = capacity_classes(weights);
         // Per-class filtered subgraphs. They share node ids but NOT port
         // numbers with the host graph; first hops are mapped back
         // through the host's ports.
         let subgraphs: Vec<(Graph, EdgeWeights<u64>)> = classes
             .iter()
-            .map(|&b| {
-                let (sub, origin) = graph.filter_edges(|e, _| weights.weight(e).0 >= b);
-                let sub_w = EdgeWeights::from_vec(
-                    &sub,
-                    origin.iter().map(|&e| weights.weight(e).1).collect(),
-                );
-                (sub, sub_w)
-            })
+            .map(|&b| class_subgraph(graph, weights, b))
             .collect();
-        let tables = cpr_core::par::par_map_indexed(classes.len() * n, |i| -> Vec<u32> {
-            let (class, s) = (i / n, i % n);
-            let (sub, sub_w) = &subgraphs[class];
-            let mut port_of = vec![NONE; n];
-            for (port, (next, _)) in graph.neighbors(s).enumerate() {
-                port_of[next] = narrow(port);
-            }
-            dijkstra(sub, sub_w, &ShortestPath, s)
-                .first_hops()
-                .into_iter()
-                .map(|hop| hop.map_or(NONE, |next| port_of[next]))
-                .collect()
-        })
-        .concat();
+        let (rows, cost): (Vec<Vec<u32>>, Vec<Vec<u32>>) =
+            cpr_core::par::par_map_indexed(classes.len() * n, |i| {
+                let (class, s) = (i / n, i % n);
+                let (sub, sub_w) = &subgraphs[class];
+                let mut port_of = vec![NONE; n];
+                for (port, (next, _)) in graph.neighbors(s).enumerate() {
+                    port_of[next] = narrow(port);
+                }
+                let tree = dijkstra(sub, sub_w, &ShortestPath, s);
+                let row = tree
+                    .first_hops()
+                    .into_iter()
+                    .map(|hop| hop.map_or(NONE, |next| port_of[next]))
+                    .collect();
+                (row, parent_words(&tree))
+            })
+            .into_iter()
+            .unzip();
 
         // Per-pair bottleneck classes from widest-path trees.
-        let caps = EdgeWeights::from_vec(
-            graph,
-            (0..graph.edge_count())
-                .map(|e| weights.weight(e).0)
-                .collect(),
-        );
-        let class_of = cpr_core::par::par_map_indexed(n, |s| -> Vec<u32> {
-            let widest = dijkstra(graph, &caps, &cpr_algebra::policies::WidestPath, s);
-            (0..n)
-                .map(|t| {
-                    widest.weight(t).finite().map_or(NONE, |b| {
-                        narrow(
-                            classes
-                                .binary_search(b)
-                                .expect("bottleneck is a distinct edge capacity"),
-                        )
-                    })
-                })
-                .collect()
-        })
-        .concat();
+        let caps = EdgeWeights::from_fn(graph, |e| weights.weight(e).0);
+        let (class_of, widest): (Vec<Vec<u32>>, Vec<Vec<u32>>) =
+            cpr_core::par::par_map_indexed(n, |s| {
+                let tree = dijkstra(graph, &caps, &WidestPath, s);
+                let row = (0..n)
+                    .map(|t| class_index(&classes, tree.weight(t).finite()))
+                    .collect();
+                (row, parent_words(&tree))
+            })
+            .into_iter()
+            .unzip();
 
         SwClassTable {
             n,
             classes,
-            tables,
-            class_of,
+            tables: rows.concat(),
+            class_of: class_of.concat(),
             degree: graph.nodes().map(|v| graph.degree(v)).collect(),
+            trees: Some(SwTrees {
+                cost: cost.concat(),
+                widest: widest.concat(),
+            }),
         }
     }
 
     /// Number of distinct capacity classes `k`.
     pub fn class_count(&self) -> usize {
         self.classes.len()
+    }
+
+    /// The incremental factory of a shortest-widest class whose edge
+    /// `{u, v}` weighs `weigh(u, v)` (symmetric): it builds with
+    /// [`build`](Self::build) and maintains with
+    /// [`update`](Self::update).
+    pub fn factory<F>(weigh: F) -> SwClassTableFactory<F>
+    where
+        F: Fn(NodeId, NodeId) -> SwWeight,
+    {
+        SwClassTableFactory { weigh }
+    }
+
+    /// Maintains the scheme, built (or last updated) for `from`, across
+    /// one topology step to `to`, edge `{u, v}` weighing `weigh(u, v)` on
+    /// both sides: afterwards it equals `SwClassTable::build` on `to`.
+    ///
+    /// Every widest tree (behind the class indices) and every cost tree
+    /// of every class whose subgraph the step touches — a changed edge of
+    /// capacity `c` touches the classes `≤ c` only — is repaired by
+    /// [`TreeRepair`]; a row entry moves only where its tree's first hop
+    /// did.
+    ///
+    /// Returns `false`, leaving the scheme to be rebuilt, when it cannot
+    /// apply: on a clone (no trees), across a node-count change, or when
+    /// the step changes the set of capacity classes.
+    pub fn update(
+        &mut self,
+        from: &Graph,
+        to: &Graph,
+        changes: EdgeChanges<'_>,
+        weigh: impl Fn(NodeId, NodeId) -> SwWeight,
+    ) -> bool {
+        let n = self.n;
+        if from.node_count() != n || to.node_count() != n {
+            return false;
+        }
+        let weights = EdgeWeights::from_fn(to, |e| {
+            let (u, v) = to.endpoints(e);
+            weigh(u, v)
+        });
+        if capacity_classes(&weights) != self.classes {
+            return false;
+        }
+        let Some(trees) = self.trees.as_mut() else {
+            return false;
+        };
+        let k = self.classes.len();
+        for (v, moves) in port_moves(from, to) {
+            for class in 0..k {
+                let row = (class * n + v) * n;
+                for port in &mut self.tables[row..row + n] {
+                    if *port != NONE {
+                        *port = moves[*port as usize];
+                    }
+                }
+            }
+        }
+        self.degree = to.nodes().map(|v| to.degree(v)).collect();
+
+        let caps = EdgeWeights::from_fn(to, |e| weights.weight(e).0);
+        let mut widest = TreeRepair::new();
+        for s in 0..n {
+            let parents = &mut trees.widest[s * n..(s + 1) * n];
+            let prior = |v: NodeId| prior_in(to, parents[v], v);
+            for r in widest.repair(to, &caps, &WidestPath, s, prior, changes) {
+                parents[r.node] = r.parent.map_or(NONE, |(p, _, _)| narrow(p));
+                self.class_of[s * n + r.node] = class_index(&self.classes, r.weight.finite());
+            }
+        }
+
+        let mut cost = TreeRepair::new();
+        let mut stack: Vec<NodeId> = Vec::new();
+        let mut stamp = vec![usize::MAX; n];
+        for (class, &b) in self.classes.iter().enumerate() {
+            let touches = |&(u, v): &(NodeId, NodeId)| weigh(u, v).0 >= b;
+            if !changes.removed.iter().chain(changes.added).any(touches) {
+                continue;
+            }
+            let (sub, sub_w) = class_subgraph(to, &weights, b);
+            for s in 0..n {
+                let base = (class * n + s) * n;
+                let parents = &mut trees.cost[base..base + n];
+                let prior = |v: NodeId| prior_in(&sub, parents[v], v);
+                let repaired = cost.repair(&sub, &sub_w, &ShortestPath, s, prior, changes);
+                if repaired.is_empty() {
+                    continue;
+                }
+                for r in repaired {
+                    parents[r.node] = r.parent.map_or(NONE, |(p, _, _)| narrow(p));
+                    stamp[r.node] = base;
+                }
+                // A repaired node's first hop is the top of its new
+                // parent chain; below it, unrepaired nodes inherit.
+                let row = &mut self.tables[base..base + n];
+                for r in repaired {
+                    let entry = first_hop(parents, s, r.node).map_or(NONE, |hop| {
+                        narrow(to.port_towards(s, hop).expect("tree edge"))
+                    });
+                    if row[r.node] != entry {
+                        row[r.node] = entry;
+                        stack.push(r.node);
+                    }
+                }
+                while let Some(x) = stack.pop() {
+                    for (y, _) in sub.neighbors(x) {
+                        if parents[y] as NodeId == x && stamp[y] != base && row[y] != row[x] {
+                            row[y] = row[x];
+                            stack.push(y);
+                        }
+                    }
+                }
+            }
+        }
+        true
+    }
+}
+
+/// The class index of a bottleneck, [`NONE`] when unreachable.
+fn class_index(classes: &[Capacity], bottleneck: Option<&Capacity>) -> u32 {
+    bottleneck.map_or(NONE, |b| {
+        narrow(
+            classes
+                .binary_search(b)
+                .expect("bottleneck is a distinct edge capacity"),
+        )
+    })
+}
+
+/// The first node after `root` on `v`'s path in the tree `parents`
+/// describes; `None` when `v` is the root or unreachable.
+fn first_hop(parents: &[u32], root: NodeId, v: NodeId) -> Option<NodeId> {
+    let mut x = v;
+    for _ in 0..parents.len() {
+        match parents[x] {
+            NONE => return None,
+            p if p as NodeId == root => return Some(x),
+            p => x = p as NodeId,
+        }
+    }
+    panic!("parent pointers contain a cycle");
+}
+
+/// A [`SchemeFactory`] that maintains an [`SwClassTable`] across topology
+/// steps instead of rebuilding it; see [`SwClassTable::factory`].
+pub struct SwClassTableFactory<F> {
+    weigh: F,
+}
+
+impl<F> SchemeFactory<SwClassTable> for SwClassTableFactory<F>
+where
+    F: Fn(NodeId, NodeId) -> SwWeight + Send + Sync,
+{
+    fn build(&self, graph: &Graph) -> SwClassTable {
+        let weights = EdgeWeights::from_fn(graph, |e| {
+            let (u, v) = graph.endpoints(e);
+            (self.weigh)(u, v)
+        });
+        SwClassTable::build(graph, &weights)
+    }
+
+    fn update(
+        &self,
+        scheme: &mut SwClassTable,
+        from: &Graph,
+        to: &Graph,
+        changes: EdgeChanges<'_>,
+    ) -> bool {
+        scheme.update(from, to, changes, &self.weigh)
     }
 }
 

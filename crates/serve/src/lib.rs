@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use cpr_algebra::policies::ShortestPath;
-//! use cpr_graph::{generators, EdgeWeights};
+//! use cpr_graph::{generators, EdgeWeights, Graph};
 //! use cpr_plane::MultiBuilder;
 //! use cpr_routing::DestTable;
 //! use cpr_serve::{MultiRouteService, RouteClient, RouteServer, ServeConfig};
@@ -38,7 +38,7 @@
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let g = generators::gnp_connected(12, 0.3, &mut rng);
-//! let registry = MultiBuilder::new().class("shortest-path", |g| {
+//! let registry = MultiBuilder::new().class("shortest-path", |g: &Graph| {
 //!     DestTable::build(g, &EdgeWeights::uniform(g, 1u64), &ShortestPath)
 //! });
 //!

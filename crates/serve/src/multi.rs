@@ -399,10 +399,11 @@ impl MultiRouteService {
     }
 
     /// The one swap tail of every control-path operation: snapshot the
-    /// master, release it, publish the snapshot (and the metric names
-    /// its queries will record under) with one atomic store,
-    /// then count the swap and emit `event` (`epoch`, `fields`, and the
-    /// wall-clock since `started` — tracer only, never the registry).
+    /// master (under a `multi.snapshot` span carrying its wall-clock),
+    /// release it, publish the snapshot (and the metric names its
+    /// queries will record under) with one atomic store, then count the
+    /// swap and emit `event` (`epoch`, `fields`, and the wall-clock since
+    /// `started` — tracer only, never the registry).
     /// Returns the published `(epoch, digest)`.
     fn publish(
         &self,
@@ -413,7 +414,16 @@ impl MultiRouteService {
     ) -> (u64, u64) {
         master.record_health(&self.obs);
         let live = master.live_class_count();
+        let span = self
+            .obs
+            .span("multi.snapshot", &[("classes", Json::int(live))]);
+        let copied = Instant::now();
         let snapshot = master.snapshot();
+        span.event(
+            "multi.snapshot.timing",
+            &[("snapshot_us", Json::int(copied.elapsed().as_micros()))],
+        );
+        drop(span);
         let (epoch, digest) = (snapshot.epoch(), snapshot.digest());
         drop(master);
         self.cell.store(Published::new(snapshot));

@@ -199,7 +199,7 @@ mod tests {
     use std::collections::VecDeque;
 
     use cpr_algebra::policies::ShortestPath;
-    use cpr_graph::{generators, EdgeWeights};
+    use cpr_graph::{generators, EdgeWeights, Graph};
     use cpr_plane::MultiBuilder;
     use cpr_routing::DestTable;
     use rand::SeedableRng;
@@ -266,7 +266,7 @@ mod tests {
     fn service() -> MultiRouteService {
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let g = generators::gnp_connected(12, 0.3, &mut rng);
-        let registry = MultiBuilder::new().class("shortest-path", |g| {
+        let registry = MultiBuilder::new().class("shortest-path", |g: &Graph| {
             DestTable::build(g, &EdgeWeights::uniform(g, 1u64), &ShortestPath)
         });
         MultiRouteService::new(

@@ -9,7 +9,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use cpr_algebra::policies::ShortestPath;
-use cpr_graph::{generators, EdgeWeights};
+use cpr_graph::{generators, EdgeWeights, Graph};
 use cpr_plane::MultiBuilder;
 use cpr_routing::DestTable;
 use cpr_serve::proto::{
@@ -235,7 +235,7 @@ fn boot() -> (
 ) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let g = generators::gnp_connected(8, 0.4, &mut rng);
-    let registry = MultiBuilder::new().class("shortest-path", |g| {
+    let registry = MultiBuilder::new().class("shortest-path", |g: &Graph| {
         DestTable::build(g, &EdgeWeights::uniform(g, 1u64), &ShortestPath)
     });
     let config = ServeConfig {
