@@ -8,7 +8,7 @@
 use cpr_algebra::policies::{ShortestPath, WidestPath};
 use cpr_bench::{experiment_rng, Topology};
 use cpr_graph::{EdgeWeights, Graph, NodeId};
-use cpr_plane::{compile, ForwardingPlane, TrafficPattern};
+use cpr_plane::{compile, BatchScratch, LookupCore, TrafficPattern};
 use cpr_routing::{route, DestTable, RoutingScheme, TzTreeRouting};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -20,38 +20,14 @@ fn live_hops<S: RoutingScheme>(scheme: &S, g: &Graph, queries: &[(NodeId, NodeId
         .sum()
 }
 
-/// Sums route lengths through the compiled plane's packed arrays.
-fn plane_hops(plane: &ForwardingPlane, queries: &[(NodeId, NodeId)]) -> usize {
-    let budget = plane.hop_budget();
-    let mut total = 0usize;
-    for &(s, t) in queries {
-        let Some(mut hid) = plane.initial_id(s, t) else {
-            continue;
-        };
-        let mut at = s;
-        let mut hops = 0usize;
-        loop {
-            match plane.decide(at, hid) {
-                cpr_plane::Decision::Deliver => {
-                    total += hops;
-                    break;
-                }
-                cpr_plane::Decision::Forward { port, next } => {
-                    match plane.neighbor(at, port) {
-                        Some(v) => at = v,
-                        None => break,
-                    }
-                    hid = next;
-                    hops += 1;
-                    if hops > budget {
-                        break;
-                    }
-                }
-                cpr_plane::Decision::Invalid => break,
-            }
-        }
-    }
-    total
+/// Sums route lengths through the compiled plane's flat core — the
+/// walk every serving path takes.
+fn plane_hops(
+    core: &LookupCore<'_>,
+    scratch: &mut BatchScratch,
+    queries: &[(NodeId, NodeId)],
+) -> usize {
+    core.lookup_batch(queries, scratch).total_hops as usize
 }
 
 fn bench_plane_lookup(c: &mut Criterion) {
@@ -65,17 +41,19 @@ fn bench_plane_lookup(c: &mut Criterion) {
     let tz = TzTreeRouting::spanning(&g, &wp, &WidestPath);
     let tables_plane = compile(&tables, &g).expect("dest-table compiles");
     let tz_plane = compile(&tz, &g).expect("tz-tree compiles");
+    let (tables_core, tz_core) = (tables_plane.lookup_core(), tz_plane.lookup_core());
+    let mut scratch = BatchScratch::new();
 
     let queries = cpr_plane::generate(&g, &TrafficPattern::Uniform, 1024, &mut rng);
 
     // Same answer from both sides before timing anything.
     assert_eq!(
         live_hops(&tables, &g, &queries),
-        plane_hops(&tables_plane, &queries)
+        plane_hops(&tables_core, &mut scratch, &queries)
     );
     assert_eq!(
         live_hops(&tz, &g, &queries),
-        plane_hops(&tz_plane, &queries)
+        plane_hops(&tz_core, &mut scratch, &queries)
     );
 
     let mut group = c.benchmark_group("plane_lookup");
@@ -86,13 +64,13 @@ fn bench_plane_lookup(c: &mut Criterion) {
         b.iter(|| live_hops(&tables, &g, black_box(&queries)))
     });
     group.bench_function(BenchmarkId::new("compiled", "dest-table"), |b| {
-        b.iter(|| plane_hops(&tables_plane, black_box(&queries)))
+        b.iter(|| plane_hops(&tables_core, &mut scratch, black_box(&queries)))
     });
     group.bench_function(BenchmarkId::new("live", "tz-tree"), |b| {
         b.iter(|| live_hops(&tz, &g, black_box(&queries)))
     });
     group.bench_function(BenchmarkId::new("compiled", "tz-tree"), |b| {
-        b.iter(|| plane_hops(&tz_plane, black_box(&queries)))
+        b.iter(|| plane_hops(&tz_core, &mut scratch, black_box(&queries)))
     });
     group.finish();
 }

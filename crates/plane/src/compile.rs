@@ -3,17 +3,21 @@
 //! [`compile`] flattens a [`RoutingScheme`] into an immutable
 //! [`ForwardingPlane`]: every reachable `(node, header)` state of the
 //! scheme is *interned* to a dense integer id and its forwarding decision
-//! is packed into a fixed-width entry of a [`PackedArray`]. A lookup in
-//! the compiled plane is then a couple of shifts and masks instead of an
-//! evaluation of the scheme's local routing function — no allocation, no
-//! header cloning, no tree walking.
+//! is written, port already resolved to the neighbor it leads to, into
+//! the flat `u32` transition arrays of a [`StaticCore`] — the one stored
+//! form of the plane, which serving walks directly. A lookup is then two
+//! array loads instead of an evaluation of the scheme's local routing
+//! function — no allocation, no header cloning, no tree walking.
 //!
 //! The compiler is *honest* in the same sense as the rest of the
 //! workspace: every `(source, target)` pair is driven through the live
 //! [`step`](RoutingScheme::step) simulation during compilation, a packet
 //! that is misdelivered or loops aborts the compile with the underlying
 //! [`RouteError`], and the bit accounting of the plane
-//! ([`PlaneMemory`]) counts every array at its packed width.
+//! ([`PlaneMemory`]) counts every transition at the width of its
+//! bit-packed encoding (`kind | port | next header`). That encoding is
+//! never stored: [`ForwardingPlane::memory`] computes its size and
+//! [`ForwardingPlane::digest`] streams it from the flat arrays.
 
 use std::fmt;
 use std::sync::Arc;
@@ -22,6 +26,8 @@ use cpr_core::fxhash::FxHashMap;
 use cpr_graph::{Graph, NodeId, Port};
 use cpr_routing::bits::ceil_log2;
 use cpr_routing::{RouteAction, RouteError, RoutingScheme};
+
+use crate::engine::{CoreLayout, LookupCore, StaticCore, CORE_DELIVER, CORE_INVALID};
 
 /// Entry kind: no transition stored for this `(node, header)` state.
 const KIND_INVALID: u64 = 0;
@@ -40,12 +46,9 @@ const COMPILE_MIN_GRAIN: usize = 16;
 /// A fixed-width bit-packed array: `len` unsigned values of `width ≤ 64`
 /// bits each, stored contiguously across little-endian `u64` words.
 ///
-/// This is the storage primitive of the compiled plane — transition
-/// entries, sparse-layout keys and the initial-header table are all
-/// `PackedArray`s, so the plane's memory footprint is exactly the honest
-/// bit widths dictated by the instance (`⌈log₂ degree⌉` ports,
-/// `⌈log₂ headers⌉` header ids) rather than whatever Rust's native types
-/// round up to.
+/// The `n²` initial-header table is stored as one, at the honest
+/// `⌈log₂ (headers + 1)⌉` bits per pair rather than whatever Rust's
+/// native types round up to.
 ///
 /// `PartialEq`/`Eq` compare the logical contents (width, length and
 /// packed words) — the multi-plane substrate dedupe relies on this to
@@ -147,73 +150,33 @@ impl PackedArray {
     }
 }
 
-/// How the per-node transition entries are laid out.
-#[derive(Clone, Debug)]
-enum Layout {
-    /// Flat `headers × n` table indexed by `header · n + node`: O(1)
-    /// lookup, best when most header ids occur at most nodes (tree and
-    /// destination-table schemes, where `headers ≈ n`). Header-major
-    /// order because headers change rarely along a walk — consecutive
-    /// hops then touch one `n`-entry row, not scattered columns.
-    Dense(PackedArray),
-    /// Per-node sorted `(header, entry)` runs with binary-search lookup:
-    /// chosen when the dense table would waste space, e.g. source-routed
-    /// schemes whose header space is `Θ(n²)` but whose reachable states
-    /// are only the pairs actually on paths.
-    Sparse {
-        /// CSR-style run boundaries, `n + 1` offsets into `keys`/`entries`.
-        offsets: Vec<u32>,
-        /// Sorted interned header ids, one run per node.
-        keys: PackedArray,
-        /// The entry for the matching key.
-        entries: PackedArray,
-    },
-}
-
-/// One decoded forwarding decision of a compiled plane.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Decision {
-    /// Deliver here.
-    Deliver,
-    /// Forward on `port`, the packet now carrying interned header `next`.
-    Forward {
-        /// The local out-port at the current node.
-        port: Port,
-        /// Interned id of the rewritten header.
-        next: u32,
-    },
-    /// No transition is stored for this state — reaching this from an
-    /// initial header indicates a plane/scheme inconsistency and is
-    /// surfaced by the engine as a failure, never skipped.
-    Invalid,
-}
-
 /// An immutable compiled forwarding plane: the scheme's reachable
-/// `(node, header)` states flattened into bit-packed transition arrays,
-/// plus the `n²` initial-header table and a CSR snapshot of the graph's
-/// port-labelled adjacency (so lookups never touch the original
-/// [`Graph`] or scheme again).
+/// `(node, header)` states flattened into the flat, port-resolved
+/// transition arrays of a [`StaticCore`] (with the `n²` initial-header
+/// table), plus a CSR snapshot of the graph's port-labelled adjacency —
+/// lookups never touch the original [`Graph`] or scheme again.
+///
+/// The core's arrays sit behind `Arc`s: a clone of the plane, a
+/// [`static_core`](Self::static_core) and a [`lookup_core`]
+/// (Self::lookup_core) all share them, so a serving snapshot copies no
+/// transition array.
 #[derive(Clone, Debug)]
 pub struct ForwardingPlane {
     scheme: String,
-    n: usize,
-    headers: usize,
     states: usize,
+    /// Widths of the packed encoding the plane is accounted and digested
+    /// at (`entry = kind | port | next header`), never stored.
     port_width: u32,
     header_width: u32,
     entry_width: u32,
-    layout: Layout,
-    /// `n²` interned initial-header ids; the value `headers` is the
-    /// "unroutable" sentinel. `Arc`-shared so a multi-algebra process can
-    /// dedupe byte-identical tables across planes (see `crate::multi`).
-    initial: Arc<PackedArray>,
+    /// The one stored form of the transitions and the initial table.
+    core: StaticCore,
     /// CSR row offsets into `nbr`, length `n + 1`. `Arc`-shared: every
     /// plane compiled against the same topology carries the same CSR.
     row: Arc<Vec<u32>>,
     /// Neighbor of each `(node, port)` in port order.
     nbr: Arc<Vec<u32>>,
     scheme_header_bits: u64,
-    hop_budget: usize,
     /// [`graph_digest`] of the topology the plane was compiled against.
     topology_digest: u64,
 }
@@ -320,8 +283,10 @@ pub struct PlaneMemory {
     pub entry_width: u32,
     /// Which layout the compiler chose (`"dense"` or `"sparse"`).
     pub layout: &'static str,
-    /// Bits in the transition arrays (keys + entries + run offsets for
-    /// the sparse layout).
+    /// Bits of the transitions in their packed encoding (entries, plus
+    /// keys and 32-bit run offsets for the sparse layout) — the
+    /// Definition 2 figure. The flat core that serves holds 64 bits per
+    /// dense slot, or 96 per sparse state plus its offsets.
     pub transition_bits: u64,
     /// Bits in the `n²` initial-header table.
     pub initial_bits: u64,
@@ -430,7 +395,7 @@ pub fn graph_digest(graph: &Graph) -> u64 {
 const REC_DELIVER: u64 = u32::MAX as u64;
 
 /// A flat `(node, header id) → step` record: the key packs
-/// `node << 32 | hid`, the value packs `port << 32 | next` with
+/// `node << 32 | hid`, the value packs `next node << 32 | next hid` with
 /// [`REC_DELIVER`] in the low word for a deliver. Sixteen bytes per
 /// transition, no per-entry map overhead — the arena the shards stream
 /// their walks into.
@@ -637,8 +602,10 @@ fn trace_shard<S: RoutingScheme>(
                             });
                         };
                         let next_id = intern.intern(next)?;
-                        pending
-                            .push((rec_key(at, hid), ((port as u64) << 32) | u64::from(next_id)));
+                        pending.push((
+                            rec_key(at, hid),
+                            ((next_node as u64) << 32) | u64::from(next_id),
+                        ));
                         at = next_node;
                         hid = next_id;
                         if pending.len() > hop_budget {
@@ -693,6 +660,44 @@ fn trace_shard<S: RoutingScheme>(
     })
 }
 
+/// A shard record with its local header ids (key and next) mapped
+/// through `remap` to global ones.
+fn remap_rec(remap: &[u32], key: u64, val: u64) -> TransRec {
+    let node = key >> 32;
+    let hid = u64::from(remap[(key & 0xFFFF_FFFF) as usize]);
+    let next = val & 0xFFFF_FFFF;
+    let gval = if next == REC_DELIVER {
+        val
+    } else {
+        (val & !0xFFFF_FFFF) | u64::from(remap[next as usize])
+    };
+    ((node << 32) | hid, gval)
+}
+
+/// Every shard's records in global ids, sorted by key with duplicates
+/// dropped. Duplicate keys always carry identical values (transitions
+/// are a pure function of the state), so an unstable key sort plus
+/// adjacent dedup yields the canonical distinct set. The shard arenas
+/// are freed once copied.
+fn merged_records(remaps: &[Vec<u32>], shard_trans: Vec<TransArena>) -> Vec<TransRec> {
+    let mut sorted = Vec::with_capacity(shard_trans.iter().map(TransArena::len).sum());
+    for (remap, recs) in remaps.iter().zip(shard_trans) {
+        sorted.extend(recs.iter().map(|&(key, val)| remap_rec(remap, key, val)));
+    }
+    sorted.sort_unstable_by_key(|&(key, _)| key);
+    sorted.dedup_by_key(|&mut (key, _)| key);
+    sorted
+}
+
+/// A record's value as the core's `(next node | deliver, next hid)`.
+fn core_step(val: u64) -> (u32, u32) {
+    if val & 0xFFFF_FFFF == REC_DELIVER {
+        (CORE_DELIVER, 0)
+    } else {
+        ((val >> 32) as u32, val as u32)
+    }
+}
+
 /// Compiles `scheme` into a [`ForwardingPlane`] over `graph`.
 ///
 /// Every `(source, target)` pair with an initial header is traced through
@@ -714,8 +719,8 @@ fn trace_shard<S: RoutingScheme>(
 /// shard traces its sources with shard-local header interning, and the
 /// shards are then merged *in source order* into the global intern
 /// table. The merge replays each shard's header discovery order, so the
-/// global id assignment — and therefore the packed plane, byte for
-/// byte — is identical for every thread count, including the exact
+/// global id assignment — and therefore the plane, byte for byte —
+/// is identical for every thread count, including the exact
 /// serial walk at `CPR_THREADS=1`.
 ///
 /// # Errors
@@ -767,7 +772,8 @@ where
             graph: n,
         });
     }
-    if u32::try_from(n).is_err() {
+    // Node ids share the core's `next_node` slots with its sentinels.
+    if n >= CORE_INVALID as usize {
         return Err(CompileError::CapacityExceeded { what: "nodes" });
     }
     let hop_budget = 4 * n + 4;
@@ -807,7 +813,7 @@ where
     // header-discovery arena against the global interner. Headers an
     // earlier shard already saw keep their global id; genuinely new ones
     // extend the table in discovery order, so the global id space — and
-    // every packed array below — is byte-identical for any shard count.
+    // every array below — is byte-identical for any shard count.
     let mut intern: Interner<S::Header> = Interner::new();
     let mut remaps: Vec<Vec<u32>> = Vec::with_capacity(shards.len());
     let mut shard_trans: Vec<TransArena> = Vec::with_capacity(shards.len());
@@ -831,20 +837,8 @@ where
     // Count the *distinct* states first — through a bitset over the
     // dense `(header, node)` index space when that is no bigger than
     // the record streams themselves, otherwise through one sort+dedup
-    // of the remapped records — then pack straight into the final
-    // layout. No global per-entry hash map is ever built.
-    let remap_rec = |remap: &[u32], key: u64, val: u64| -> (u64, u64) {
-        let node = key >> 32;
-        let hid = u64::from(remap[(key & 0xFFFF_FFFF) as usize]);
-        let next = val & 0xFFFF_FFFF;
-        let gval = if next == REC_DELIVER {
-            val
-        } else {
-            (val & !0xFFFF_FFFF) | u64::from(remap[next as usize])
-        };
-        ((node << 32) | hid, gval)
-    };
-
+    // of the remapped records — then write straight into the core's
+    // flat arrays. No global per-entry hash map is ever built.
     let total_recs: usize = shard_trans.iter().map(TransArena::len).sum();
     let dense_slots = n as u128 * headers as u128;
     // The bitset costs one bit per dense slot; the sorted-merge buffer
@@ -866,17 +860,7 @@ where
         }
         distinct
     } else {
-        sorted.reserve_exact(total_recs);
-        for (remap, recs) in remaps.iter().zip(&shard_trans) {
-            for &(key, val) in recs.iter() {
-                sorted.push(remap_rec(remap, key, val));
-            }
-        }
-        // Duplicate keys always carry identical values (transitions are
-        // a pure function of the state), so an unstable key sort plus
-        // adjacent dedup yields the canonical distinct set.
-        sorted.sort_unstable_by_key(|&(key, _)| key);
-        sorted.dedup_by_key(|&mut (key, _)| key);
+        sorted = merged_records(&remaps, std::mem::take(&mut shard_trans));
         sorted.len()
     };
     if u32::try_from(states).is_err() {
@@ -891,70 +875,57 @@ where
     let header_width = ceil_log2(headers as u64);
     let entry_width = 2 + port_width + header_width;
 
-    let encode = |gval: u64| -> u64 {
-        if gval & 0xFFFF_FFFF == REC_DELIVER {
-            KIND_DELIVER << (port_width + header_width)
-        } else {
-            (KIND_FORWARD << (port_width + header_width))
-                | ((gval >> 32) << header_width)
-                | (gval & 0xFFFF_FFFF)
-        }
-    };
-
     // Dense is O(1) per lookup, sparse pays a binary search; prefer dense
-    // unless it costs more than 2× the sparse encoding.
+    // unless its packed encoding costs more than 2× the sparse one. The
+    // choice is made on packed bits — the accounted size — so layouts,
+    // widths and digests do not depend on how the core stores a slot.
     let dense_bits = (n as u64) * (headers as u64) * u64::from(entry_width);
     let sparse_bits = states as u64 * u64::from(header_width + entry_width) + (n as u64 + 1) * 32;
     let layout = if dense_bits <= sparse_bits.saturating_mul(2) {
-        // Writes of duplicate states are idempotent (identical encoded
-        // entries), so the shard streams pour straight into the table.
-        let mut table = PackedArray::new(n * headers, entry_width);
+        // Writes of duplicate states are idempotent (identical records),
+        // so the shard streams pour straight into the table. The arrays
+        // are allocated as the shared slices they stay, and written
+        // while still unshared: nothing is copied afterwards.
+        let slots = n * headers;
+        let mut next_node: Arc<[u32]> = std::iter::repeat_n(CORE_INVALID, slots).collect();
+        let mut next_hid: Arc<[u32]> = std::iter::repeat_n(0, slots).collect();
+        let nodes = Arc::get_mut(&mut next_node).expect("a fresh slice is unshared");
+        let hids = Arc::get_mut(&mut next_hid).expect("a fresh slice is unshared");
+        let mut put = |(gkey, gval): TransRec| {
+            let i = (gkey & 0xFFFF_FFFF) as usize * n + (gkey >> 32) as usize;
+            (nodes[i], hids[i]) = core_step(gval);
+        };
         if sorted.is_empty() {
             for (remap, recs) in remaps.iter().zip(&shard_trans) {
                 for &(key, val) in recs.iter() {
-                    let (gkey, gval) = remap_rec(remap, key, val);
-                    let (node, hid) = ((gkey >> 32) as usize, (gkey & 0xFFFF_FFFF) as usize);
-                    table.set(hid * n + node, encode(gval));
+                    put(remap_rec(remap, key, val));
                 }
             }
         } else {
-            for &(gkey, gval) in &sorted {
-                let (node, hid) = ((gkey >> 32) as usize, (gkey & 0xFFFF_FFFF) as usize);
-                table.set(hid * n + node, encode(gval));
-            }
+            sorted.iter().copied().for_each(put);
         }
-        Layout::Dense(table)
+        CoreLayout::Dense {
+            next_node,
+            next_hid,
+        }
     } else {
         // The sparse layout needs node-major, header-sorted runs — which
-        // is exactly ascending key order of the packed records.
+        // is exactly ascending key order of the records.
         if sorted.is_empty() && states > 0 {
-            sorted.reserve_exact(total_recs);
-            for (remap, recs) in remaps.iter().zip(&shard_trans) {
-                for &(key, val) in recs.iter() {
-                    sorted.push(remap_rec(remap, key, val));
-                }
-            }
-            sorted.sort_unstable_by_key(|&(key, _)| key);
-            sorted.dedup_by_key(|&mut (key, _)| key);
+            sorted = merged_records(&remaps, std::mem::take(&mut shard_trans));
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut keys = PackedArray::new(states, header_width);
-        let mut entries = PackedArray::new(states, entry_width);
-        offsets.push(0u32);
-        let mut pos = 0usize;
+        let mut offsets = vec![0u32; n + 1];
+        for &(gkey, _) in &sorted {
+            offsets[(gkey >> 32) as usize + 1] += 1;
+        }
         for node in 0..n {
-            while pos < sorted.len() && (sorted[pos].0 >> 32) as usize == node {
-                keys.set(pos, sorted[pos].0 & 0xFFFF_FFFF);
-                entries.set(pos, encode(sorted[pos].1));
-                pos += 1;
-            }
-            offsets.push(pos as u32);
+            offsets[node + 1] += offsets[node];
         }
-        debug_assert_eq!(pos, states);
-        Layout::Sparse {
-            offsets,
-            keys,
-            entries,
+        CoreLayout::Sparse {
+            offsets: offsets.into(),
+            keys: sorted.iter().map(|&(gkey, _)| gkey as u32).collect(),
+            next_node: sorted.iter().map(|&(_, gval)| core_step(gval).0).collect(),
+            next_hid: sorted.iter().map(|&(_, gval)| core_step(gval).1).collect(),
         }
     };
     drop(sorted);
@@ -994,18 +965,20 @@ where
     Ok((
         ForwardingPlane {
             scheme: scheme.name(),
-            n,
-            headers,
             states,
             port_width,
             header_width,
             entry_width,
-            layout,
-            initial: Arc::new(initial),
+            core: StaticCore {
+                n,
+                headers,
+                hop_budget,
+                initial: Arc::new(initial),
+                layout,
+            },
             row: Arc::new(row),
             nbr: Arc::new(nbr),
             scheme_header_bits: scheme.header_bits(),
-            hop_budget,
             topology_digest: graph_digest(graph),
         },
         intern.order,
@@ -1013,109 +986,43 @@ where
 }
 
 impl ForwardingPlane {
-    /// The raw packed entry for `(at, hid)`, `0` (invalid) when absent.
-    #[inline(always)]
-    fn entry(&self, at: NodeId, hid: u32) -> u64 {
-        match &self.layout {
-            Layout::Dense(table) => table.get(hid as usize * self.n + at),
-            Layout::Sparse {
-                offsets,
-                keys,
-                entries,
-            } => {
-                let mut lo = offsets[at] as usize;
-                let mut hi = offsets[at + 1] as usize;
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    let k = keys.get(mid) as u32;
-                    match k.cmp(&hid) {
-                        std::cmp::Ordering::Less => lo = mid + 1,
-                        std::cmp::Ordering::Greater => hi = mid,
-                        std::cmp::Ordering::Equal => return entries.get(mid),
-                    }
-                }
-                KIND_INVALID
-            }
-        }
-    }
-
-    /// The forwarding decision of node `at` on interned header `hid`.
-    #[inline(always)]
-    pub fn decide(&self, at: NodeId, hid: u32) -> Decision {
-        let e = self.entry(at, hid);
-        match e >> (self.port_width + self.header_width) {
-            KIND_DELIVER => Decision::Deliver,
-            KIND_FORWARD => {
-                let hmask = low_mask(self.header_width);
-                Decision::Forward {
-                    port: ((e >> self.header_width) & low_mask(self.port_width)) as Port,
-                    next: (e & hmask) as u32,
-                }
-            }
-            _ => Decision::Invalid,
-        }
-    }
-
     /// The interned initial-header id a source attaches for `target`, or
     /// `None` when the scheme declared the pair unroutable.
     #[inline]
     pub fn initial_id(&self, source: NodeId, target: NodeId) -> Option<u32> {
-        let v = self.initial.get(source * self.n + target);
-        if v == self.headers as u64 {
-            None
-        } else {
-            Some(v as u32)
-        }
+        self.core.initial_id(source, target)
     }
 
-    /// The neighbor reached from `at` through local `port`, from the CSR
-    /// adjacency snapshot.
-    #[inline(always)]
-    pub fn neighbor(&self, at: NodeId, port: Port) -> Option<NodeId> {
-        let lo = self.row[at] as usize;
-        let i = lo + port;
-        if i < self.row[at + 1] as usize {
-            Some(self.nbr[i] as NodeId)
-        } else {
-            None
-        }
+    /// The flat core the plane stores its transitions in.
+    pub(crate) fn core(&self) -> &StaticCore {
+        &self.core
+    }
+
+    /// Mutable core access, for tests that shrink the hop budget.
+    #[cfg(test)]
+    pub(crate) fn core_mut(&mut self) -> &mut StaticCore {
+        &mut self.core
+    }
+
+    /// The local port of `at` that leads to neighbor `to`, from the CSR
+    /// adjacency snapshot (unique: the graph is simple).
+    pub(crate) fn port_to(&self, at: NodeId, to: NodeId) -> Option<Port> {
+        let (lo, hi) = (self.row[at] as usize, self.row[at + 1] as usize);
+        self.nbr[lo..hi].iter().position(|&v| v as NodeId == to)
     }
 
     /// Replays `source → target` through the compiled plane and returns
     /// the node sequence — the plane-side analogue of
-    /// [`cpr_routing::route`].
+    /// [`cpr_routing::route`], through the same walk as
+    /// [`StaticCore::walk`].
     ///
     /// # Errors
     ///
     /// Returns the same [`RouteError`]s the live simulator would: an
-    /// unroutable pair, a bad port, or hop-budget exhaustion.
+    /// unroutable pair or hop-budget exhaustion. (A bad port cannot
+    /// occur: compilation resolves every port to its neighbor.)
     pub fn walk(&self, source: NodeId, target: NodeId) -> Result<Vec<NodeId>, RouteError> {
-        let Some(mut hid) = self.initial_id(source, target) else {
-            return Err(RouteError::Unroutable { source, target });
-        };
-        let mut at = source;
-        // Diameter-guess capacity, mirroring `cpr_routing::route`.
-        let mut visited = Vec::with_capacity(
-            (4 * (usize::BITS - self.n.leading_zeros()) as usize + 8).min(self.hop_budget + 1),
-        );
-        visited.push(source);
-        loop {
-            match self.decide(at, hid) {
-                Decision::Deliver => return Ok(visited),
-                Decision::Forward { port, next } => {
-                    let Some(next_node) = self.neighbor(at, port) else {
-                        return Err(RouteError::BadPort { at, port });
-                    };
-                    at = next_node;
-                    hid = next;
-                    visited.push(at);
-                    if visited.len() > self.hop_budget {
-                        return Err(RouteError::HopBudgetExhausted { visited });
-                    }
-                }
-                Decision::Invalid => return Err(RouteError::Unroutable { source, target }),
-            }
-        }
+        self.core.walk(source, target)
     }
 
     /// The scheme name the plane was compiled from.
@@ -1125,12 +1032,12 @@ impl ForwardingPlane {
 
     /// Node count.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.core.n
     }
 
     /// Number of distinct interned headers.
     pub fn header_count(&self) -> usize {
-        self.headers
+        self.core.headers
     }
 
     /// Number of stored `(node, header)` transition states.
@@ -1141,7 +1048,7 @@ impl ForwardingPlane {
     /// The hop budget a walk may spend (`4n + 4`, matching
     /// [`cpr_routing::route`]).
     pub fn hop_budget(&self) -> usize {
-        self.hop_budget
+        self.core.hop_budget
     }
 
     /// The [`graph_digest`] of the topology this plane was compiled
@@ -1157,47 +1064,66 @@ impl ForwardingPlane {
         graph_digest(graph) == self.topology_digest
     }
 
-    /// An FNV-1a digest over every packed array and scalar of the plane.
+    /// An FNV-1a digest over the plane's packed encoding and scalars.
     ///
     /// Two planes with equal digests are byte-identical in all stored
     /// state — the determinism suite uses this to assert that compiling
     /// under different `CPR_THREADS` values yields the *same* plane, not
-    /// merely an equivalent one.
+    /// merely an equivalent one. The transitions are hashed as the packed
+    /// arrays of the accounting — length, width, then every entry
+    /// re-encoded from the flat core as `kind | port | next` — so the
+    /// digest does not depend on how the core stores a slot.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.bytes(self.scheme.as_bytes());
+        let n = self.core.n;
         for v in [
-            self.n as u64,
-            self.headers as u64,
+            n as u64,
+            self.core.headers as u64,
             self.states as u64,
             u64::from(self.port_width),
             u64::from(self.header_width),
             u64::from(self.entry_width),
             self.scheme_header_bits,
-            self.hop_budget as u64,
+            self.core.hop_budget as u64,
             self.topology_digest,
         ] {
             h.word(v);
         }
-        match &self.layout {
-            Layout::Dense(table) => {
+        match &self.core.layout {
+            CoreLayout::Dense {
+                next_node,
+                next_hid,
+            } => {
                 h.word(0);
-                h.packed(table);
+                h.array_header(next_node.len(), self.entry_width);
+                for (i, (&nn, &nh)) in next_node.iter().zip(next_hid.iter()).enumerate() {
+                    h.word(self.packed_entry(i % n, nn, nh));
+                }
             }
-            Layout::Sparse {
+            CoreLayout::Sparse {
                 offsets,
                 keys,
-                entries,
+                next_node,
+                next_hid,
             } => {
                 h.word(1);
-                for &o in offsets {
+                for &o in offsets.iter() {
                     h.word(u64::from(o));
                 }
-                h.packed(keys);
-                h.packed(entries);
+                h.array_header(keys.len(), self.header_width);
+                for &k in keys.iter() {
+                    h.word(u64::from(k));
+                }
+                h.array_header(keys.len(), self.entry_width);
+                for node in 0..n {
+                    for i in offsets[node] as usize..offsets[node + 1] as usize {
+                        h.word(self.packed_entry(node, next_node[i], next_hid[i]));
+                    }
+                }
             }
         }
-        h.packed(&self.initial);
+        h.packed(&self.core.initial);
         for &r in self.row.iter() {
             h.word(u64::from(r));
         }
@@ -1207,138 +1133,62 @@ impl ForwardingPlane {
         h.finish()
     }
 
-    /// Decodes the plane into a [`LookupCore`](crate::engine::LookupCore):
-    /// the batched serving accelerator with every transition unpacked
-    /// into flat `u32` struct-of-arrays form and every port pre-resolved
-    /// to its neighbor, so a serving hop is two array loads instead of a
-    /// bit-field extraction plus a CSR indirection.
-    ///
-    /// The core borrows the plane (for the packed initial-header table)
-    /// and is immutable + `Sync`: worker shards share one core. Building
-    /// it costs one pass over the transition arrays — amortize it across
-    /// batches; [`serve`](crate::engine::serve) does this once per call.
-    pub fn lookup_core(&self) -> crate::engine::LookupCore<'_> {
-        crate::engine::LookupCore {
-            plane: self,
-            layout: self.core_layout(),
-        }
-    }
-
-    /// Decodes the plane into an owned [`StaticCore`]
-    /// (crate::engine::StaticCore): the same flat struct-of-arrays
-    /// transition tables as [`lookup_core`](Self::lookup_core), but
-    /// holding an `Arc` of the initial-header table instead of borrowing
-    /// the plane — so a serving snapshot can carry the core across
-    /// epochs without lifetimes. The shared `Arc` keeps the clone cheap:
-    /// the `n²` table is referenced, never copied.
-    pub fn static_core(&self) -> crate::engine::StaticCore {
-        crate::engine::StaticCore::new(
-            self.n,
-            self.headers,
-            self.hop_budget,
-            Arc::clone(&self.initial),
-            self.core_layout(),
-        )
-    }
-
-    /// Unpacks the transition layout into the flat pre-resolved
-    /// [`CoreLayout`](crate::engine::CoreLayout) shared by the borrowed
-    /// and owned cores.
-    fn core_layout(&self) -> crate::engine::CoreLayout {
-        use crate::engine::{CoreLayout, CORE_DELIVER, CORE_INVALID};
-        assert!(
-            (self.n as u64) < u64::from(CORE_INVALID),
-            "node ids collide with core sentinels"
-        );
-        let n = self.n;
-        let decode = |e: u64| -> (u32, u32) {
-            (
-                ((e >> self.header_width) & low_mask(self.port_width)) as u32,
-                (e & low_mask(self.header_width)) as u32,
-            )
-        };
-        // Resolve an encoded entry to (next node | sentinel, next hid).
-        let resolve = |node: usize, e: u64| -> (u32, u32) {
-            match e >> (self.port_width + self.header_width) {
-                KIND_DELIVER => (CORE_DELIVER, 0),
-                KIND_FORWARD => {
-                    let (port, next) = decode(e);
-                    match self.neighbor(node, port as Port) {
-                        Some(nn) => (nn as u32, next),
-                        None => (CORE_INVALID, 0),
-                    }
-                }
-                _ => (CORE_INVALID, 0),
-            }
-        };
-        match &self.layout {
-            Layout::Dense(table) => {
-                let slots = n * self.headers;
-                let mut next_node = vec![0u32; slots];
-                let mut next_hid = vec![0u32; slots];
-                for hid in 0..self.headers {
-                    for node in 0..n {
-                        let i = hid * n + node;
-                        let (nn, nh) = resolve(node, table.get(i));
-                        next_node[i] = nn;
-                        next_hid[i] = nh;
-                    }
-                }
-                CoreLayout::Dense {
-                    next_node,
-                    next_hid,
-                }
-            }
-            Layout::Sparse {
-                offsets,
-                keys,
-                entries,
-            } => {
-                let states = keys.len();
-                let mut core_keys = Vec::with_capacity(states);
-                let mut next_node = Vec::with_capacity(states);
-                let mut next_hid = Vec::with_capacity(states);
-                for node in 0..n {
-                    for i in offsets[node] as usize..offsets[node + 1] as usize {
-                        core_keys.push(keys.get(i) as u32);
-                        let (nn, nh) = resolve(node, entries.get(i));
-                        next_node.push(nn);
-                        next_hid.push(nh);
-                    }
-                }
-                CoreLayout::Sparse {
-                    offsets: offsets.clone(),
-                    keys: core_keys,
-                    next_node,
-                    next_hid,
-                }
+    /// The packed encoding `kind | port | next` of the core slot at
+    /// `node` holding `(next_node, next_hid)`.
+    fn packed_entry(&self, node: NodeId, next_node: u32, next_hid: u32) -> u64 {
+        let kind_at = self.port_width + self.header_width;
+        match next_node {
+            CORE_INVALID => KIND_INVALID,
+            CORE_DELIVER => KIND_DELIVER << kind_at,
+            to => {
+                let port = self
+                    .port_to(node, to as NodeId)
+                    .expect("compiled hops follow the compiled adjacency");
+                (KIND_FORWARD << kind_at)
+                    | ((port as u64) << self.header_width)
+                    | u64::from(next_hid)
             }
         }
     }
 
-    /// Honest bit accounting of the plane.
+    /// A batched serving view of the plane: walks go straight through
+    /// its flat arrays. O(1) — nothing is copied or decoded.
+    pub fn lookup_core(&self) -> LookupCore<'_> {
+        LookupCore { plane: self }
+    }
+
+    /// An owned, lifetime-free serving view of the plane's flat core, so
+    /// a serving snapshot can carry it across epochs. O(1): the clone
+    /// shares the transition arrays and the initial table through their
+    /// `Arc`s.
+    pub fn static_core(&self) -> StaticCore {
+        self.core.clone()
+    }
+
+    /// Honest bit accounting of the plane: the transitions at the size
+    /// of their packed encoding, computed from the counts and widths.
     pub fn memory(&self) -> PlaneMemory {
-        let (layout, transition_bits) = match &self.layout {
-            Layout::Dense(table) => ("dense", table.bits()),
-            Layout::Sparse {
-                offsets,
-                keys,
-                entries,
-            } => (
+        let (layout, transition_bits) = match &self.core.layout {
+            CoreLayout::Dense { .. } => (
+                "dense",
+                (self.core.n * self.core.headers) as u64 * u64::from(self.entry_width),
+            ),
+            CoreLayout::Sparse { offsets, .. } => (
                 "sparse",
-                keys.bits() + entries.bits() + offsets.len() as u64 * 32,
+                self.states as u64 * u64::from(self.header_width + self.entry_width)
+                    + offsets.len() as u64 * 32,
             ),
         };
         PlaneMemory {
             scheme: self.scheme.clone(),
-            nodes: self.n,
-            headers: self.headers,
+            nodes: self.core.n,
+            headers: self.core.headers,
             states: self.states,
             entry_width: self.entry_width,
             layout,
             transition_bits,
-            initial_bits: self.initial.bits(),
-            adjacency_bits: (self.row.len() + self.nbr.len()) as u64 * 32,
+            initial_bits: self.core.initial.bits(),
+            adjacency_bits: self.adjacency_table_bits(),
             scheme_header_bits: self.scheme_header_bits,
         }
     }
@@ -1350,7 +1200,7 @@ impl ForwardingPlane {
     /// memory accounting counts each distinct allocation exactly once.
     pub(crate) fn substrate_ptrs(&self) -> (usize, usize, usize) {
         (
-            Arc::as_ptr(&self.initial) as usize,
+            Arc::as_ptr(&self.core.initial) as usize,
             Arc::as_ptr(&self.row) as usize,
             Arc::as_ptr(&self.nbr) as usize,
         )
@@ -1364,10 +1214,11 @@ impl ForwardingPlane {
     /// `(initial_shared, adjacency_shared)`: whether each substrate now
     /// aliases `canon`'s allocation.
     pub(crate) fn share_substrate_with(&mut self, canon: &ForwardingPlane) -> (bool, bool) {
-        let initial_shared = if Arc::ptr_eq(&self.initial, &canon.initial) {
+        let (mine, theirs) = (&mut self.core.initial, &canon.core.initial);
+        let initial_shared = if Arc::ptr_eq(mine, theirs) {
             true
-        } else if *self.initial == *canon.initial {
-            self.initial = Arc::clone(&canon.initial);
+        } else if **mine == **theirs {
+            *mine = Arc::clone(theirs);
             true
         } else {
             false
@@ -1387,7 +1238,7 @@ impl ForwardingPlane {
 
     /// Bits of the initial-header table alone.
     pub(crate) fn initial_table_bits(&self) -> u64 {
-        self.initial.bits()
+        self.core.initial.bits()
     }
 
     /// Bits of the CSR adjacency snapshot alone.
@@ -1418,9 +1269,14 @@ impl Fnv {
         self.bytes(&w.to_le_bytes());
     }
 
+    /// The length and width words that open a packed array's hash.
+    fn array_header(&mut self, len: usize, width: u32) {
+        self.word(len as u64);
+        self.word(u64::from(width));
+    }
+
     fn packed(&mut self, a: &PackedArray) {
-        self.word(a.len() as u64);
-        self.word(u64::from(a.width()));
+        self.array_header(a.len(), a.width());
         for i in 0..a.len() {
             self.word(a.get(i));
         }
@@ -1428,15 +1284,6 @@ impl Fnv {
 
     fn finish(&self) -> u64 {
         self.0
-    }
-}
-
-#[inline]
-fn low_mask(width: u32) -> u64 {
-    if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
     }
 }
 

@@ -1,9 +1,14 @@
-//! The batched query engine: sharded workers serving compiled lookups
-//! through a zero-allocation flat core.
+//! The flat serving core and the batched query engine built on it.
 //!
-//! [`serve`] decodes the plane once into a [`LookupCore`] — every
-//! transition unpacked into contiguous struct-of-arrays `u32` tables
-//! with ports pre-resolved to neighbor ids — then splits the batch into
+//! A compiled plane stores its transitions in one form, the
+//! [`StaticCore`]: contiguous struct-of-arrays `u32` tables with every
+//! port pre-resolved to its neighbor id. Every walk of the crate — a
+//! plane's [`walk`](ForwardingPlane::walk), the core's
+//! [`walk`](StaticCore::walk) / [`walk_into`](StaticCore::walk_into) and
+//! the batched [`LookupCore::lookup_batch`] — runs one step loop over
+//! those arrays, feeding the visited nodes to a path sink or to none.
+//!
+//! [`serve`] takes the plane's [`LookupCore`] view, splits the batch into
 //! contiguous chunks and walks each chunk on its own scoped thread; the
 //! core is immutable, so workers share it without locks. Inside a shard,
 //! queries are processed in **destination order** (a counting sort into
@@ -24,7 +29,7 @@ use cpr_graph::{Graph, NodeId};
 use cpr_paths::HopMatrix;
 use cpr_routing::RouteError;
 
-use crate::compile::{Decision, ForwardingPlane, PackedArray};
+use crate::compile::{ForwardingPlane, PackedArray};
 
 /// Sentinel in a core's `next_node` slot: deliver here.
 pub(crate) const CORE_DELIVER: u32 = u32::MAX;
@@ -36,100 +41,75 @@ pub(crate) const CORE_INVALID: u32 = u32::MAX - 1;
 /// Per-query result sentinel in [`BatchScratch::hops`]: the scheme
 /// declared the pair unroutable (no initial header).
 const HOPS_UNROUTABLE: u32 = u32::MAX;
-/// Per-query result sentinel: the walk failed (invalid state, bad port
-/// or hop-budget exhaustion) — replay [`ForwardingPlane::walk`] for the
+/// Per-query result sentinel: the walk failed (invalid state or
+/// hop-budget exhaustion) — replay [`ForwardingPlane::walk`] for the
 /// exact error.
 const HOPS_FAILED: u32 = u32::MAX - 1;
 
-/// The flattened serving core decoded from a [`ForwardingPlane`] by
-/// [`ForwardingPlane::lookup_core`].
-///
-/// Layout: parallel `u32` arrays (struct-of-arrays). `next_node[i]`
-/// holds the pre-resolved neighbor id of transition slot `i` (or a
-/// deliver/invalid sentinel) and `next_hid[i]` the rewritten header id —
-/// one hop is two sequential loads from flat arrays, no bit-field
-/// decode, no CSR indirection, no branch on layout in the inner loop
-/// beyond the enum dispatch.
+/// A batched view of a [`ForwardingPlane`], from
+/// [`ForwardingPlane::lookup_core`]: [`lookup_batch`]
+/// (Self::lookup_batch) walks the plane's own flat arrays.
 pub struct LookupCore<'p> {
     pub(crate) plane: &'p ForwardingPlane,
-    pub(crate) layout: CoreLayout,
 }
 
-/// Decoded transition storage of a [`LookupCore`] or [`StaticCore`].
-#[derive(Clone)]
-pub(crate) enum CoreLayout {
-    /// Flat `headers × n` tables indexed by `hid * n + node`.
-    Dense {
-        next_node: Vec<u32>,
-        next_hid: Vec<u32>,
-    },
-    /// CSR runs per node, keys sorted for binary search over plain `u32`s.
-    Sparse {
-        offsets: Vec<u32>,
-        keys: Vec<u32>,
-        next_node: Vec<u32>,
-        next_hid: Vec<u32>,
-    },
-}
-
-impl CoreLayout {
-    /// One decoded transition: `(next node | sentinel, next header id)`.
-    /// Shared by the borrowed [`LookupCore`] and the owned
-    /// [`StaticCore`] so both walk the exact same flat arrays.
-    #[inline(always)]
-    fn step(&self, n: usize, at: u32, hid: u32) -> (u32, u32) {
-        match self {
-            CoreLayout::Dense {
-                next_node,
-                next_hid,
-            } => {
-                let i = (hid as usize) * n + at as usize;
-                (next_node[i], next_hid[i])
-            }
-            CoreLayout::Sparse {
-                offsets,
-                keys,
-                next_node,
-                next_hid,
-            } => {
-                let lo = offsets[at as usize] as usize;
-                let hi = offsets[at as usize + 1] as usize;
-                match keys[lo..hi].binary_search(&hid) {
-                    Ok(k) => (next_node[lo + k], next_hid[lo + k]),
-                    Err(_) => (CORE_INVALID, 0),
-                }
-            }
-        }
-    }
-}
-
-/// An owned, lifetime-free serving core decoded from a
-/// [`ForwardingPlane`] by [`ForwardingPlane::static_core`].
+/// Transition storage of a compiled plane: parallel `u32` arrays
+/// (struct-of-arrays). `next_node[i]` holds the pre-resolved neighbor id
+/// of transition slot `i` (or a deliver/invalid sentinel) and
+/// `next_hid[i]` the rewritten header id — one hop is two loads from flat
+/// arrays, no bit-field decode, no CSR indirection.
 ///
-/// Same flat pre-resolved struct-of-arrays transitions as
-/// [`LookupCore`], but the initial-header table is held through an
-/// `Arc` instead of a borrow of the plane — a multi-algebra serving
-/// snapshot carries one `StaticCore` per traffic class across epoch
-/// swaps without tying the snapshot's lifetime to the master plane.
-/// [`walk`](StaticCore::walk) allocates only the returned path vector
-/// and [`walk_into`](StaticCore::walk_into) nothing; the per-hop
-/// decisions are two sequential `u32` loads, identical to the batched
-/// core.
-#[derive(Clone)]
+/// Each array is its own `Arc<[u32]>`, so clones share the arrays while
+/// their pointers stay inline in the owning core: a walk finds them
+/// without first loading a shared header. (One `Arc` around the whole
+/// layout walked 10–20 % slower per pair in a `walk_into` probe on a
+/// 2-core Xeon VM.)
+#[derive(Clone, Debug)]
+pub(crate) enum CoreLayout {
+    /// Flat `headers × n` tables indexed by `hid * n + node`. Header-major
+    /// because headers change rarely along a walk — consecutive hops then
+    /// touch one `n`-entry row, not scattered columns.
+    Dense {
+        next_node: Arc<[u32]>,
+        next_hid: Arc<[u32]>,
+    },
+    /// CSR runs per node, keys sorted for binary search: for schemes whose
+    /// header space is far larger than the states actually reached.
+    Sparse {
+        offsets: Arc<[u32]>,
+        keys: Arc<[u32]>,
+        next_node: Arc<[u32]>,
+        next_hid: Arc<[u32]>,
+    },
+}
+
+/// The flat core of a [`ForwardingPlane`] — the one stored form of its
+/// transitions — as an owned, lifetime-free value
+/// ([`ForwardingPlane::static_core`]).
+///
+/// The transition arrays and the bit-packed initial-header table are
+/// held through `Arc`s, so cloning a core (or the plane owning it) copies
+/// no table: a multi-algebra serving snapshot carries one `StaticCore`
+/// per traffic class across epoch swaps at the cost of two reference
+/// counts. [`walk`](StaticCore::walk) allocates only the returned path
+/// vector and [`walk_into`](StaticCore::walk_into) nothing.
+#[derive(Clone, Debug)]
 pub struct StaticCore {
-    n: usize,
+    pub(crate) n: usize,
     /// Interned header count; doubles as the "unroutable" sentinel in
     /// the packed initial table.
-    headers: usize,
-    hop_budget: usize,
-    initial: Arc<PackedArray>,
-    layout: CoreLayout,
+    pub(crate) headers: usize,
+    pub(crate) hop_budget: usize,
+    /// `n²` interned initial-header ids. `Arc`-shared so a multi-algebra
+    /// process can dedupe byte-identical tables across planes (see
+    /// `crate::multi`).
+    pub(crate) initial: Arc<PackedArray>,
+    pub(crate) layout: CoreLayout,
 }
 
 /// Why [`StaticCore::walk_each`] stopped short of delivery.
 enum WalkStop {
-    /// An invalid state — the flat core collapses bad ports into the
-    /// invalid sentinel at decode time.
+    /// An invalid state.
     Unroutable,
     /// The hop budget ran out.
     Exhausted,
@@ -145,22 +125,6 @@ impl WalkStop {
 }
 
 impl StaticCore {
-    pub(crate) fn new(
-        n: usize,
-        headers: usize,
-        hop_budget: usize,
-        initial: Arc<PackedArray>,
-        layout: CoreLayout,
-    ) -> Self {
-        StaticCore {
-            n,
-            headers,
-            hop_budget,
-            initial,
-            layout,
-        }
-    }
-
     /// Node count of the compiled topology.
     pub fn node_count(&self) -> usize {
         self.n
@@ -178,11 +142,41 @@ impl StaticCore {
         }
     }
 
-    /// The one walk loop of the owned core: from `source` carrying the
+    /// One transition of state `(at, hid)`: `(next node | sentinel, next
+    /// header id)`.
+    #[inline(always)]
+    pub(crate) fn step(&self, at: u32, hid: u32) -> (u32, u32) {
+        match &self.layout {
+            CoreLayout::Dense {
+                next_node,
+                next_hid,
+            } => {
+                let i = (hid as usize) * self.n + at as usize;
+                (next_node[i], next_hid[i])
+            }
+            CoreLayout::Sparse {
+                offsets,
+                keys,
+                next_node,
+                next_hid,
+            } => {
+                let lo = offsets[at as usize] as usize;
+                let hi = offsets[at as usize + 1] as usize;
+                match keys[lo..hi].binary_search(&hid) {
+                    Ok(k) => (next_node[lo + k], next_hid[lo + k]),
+                    Err(_) => (CORE_INVALID, 0),
+                }
+            }
+        }
+    }
+
+    /// The one walk loop of the crate: from `source` carrying the
     /// initial header `hid`, hands every visited node, source first, to
-    /// `visit` and returns the hop count. The caller resolves
-    /// [`initial_id`](Self::initial_id), so a pair with no initial
-    /// header costs neither a visit nor whatever `visit` writes into.
+    /// `visit` (a path sink, or a no-op to only count) and returns the
+    /// hop count. A walk fails once it has taken `hop_budget` hops, the
+    /// rule of [`cpr_routing::route`]. The caller resolves
+    /// [`initial_id`](Self::initial_id), so a pair with no initial header
+    /// costs neither a visit nor whatever `visit` writes into.
     #[inline(always)]
     fn walk_each(
         &self,
@@ -194,7 +188,7 @@ impl StaticCore {
         let mut hops = 0u32;
         visit(at);
         loop {
-            let (nn, nh) = self.layout.step(self.n, at, hid);
+            let (nn, nh) = self.step(at, hid);
             if nn == CORE_DELIVER {
                 return Ok(hops);
             }
@@ -212,14 +206,12 @@ impl StaticCore {
     }
 
     /// Replays `source → target` through the flat core and returns the
-    /// full node sequence — the owned-core analogue of
-    /// [`ForwardingPlane::walk`], byte-identical on every input.
+    /// full node sequence.
     ///
     /// # Errors
     ///
-    /// Returns the same [`RouteError`]s the plane walk would: an
-    /// unroutable pair (also covering invalid states) or hop-budget
-    /// exhaustion.
+    /// An unroutable pair (also covering invalid states) or hop-budget
+    /// exhaustion, as [`cpr_routing::route`] reports them.
     pub fn walk(&self, source: NodeId, target: NodeId) -> Result<Vec<NodeId>, RouteError> {
         let Some(hid) = self.initial_id(source, target) else {
             return Err(RouteError::Unroutable { source, target });
@@ -305,15 +297,9 @@ pub struct BatchStats {
 }
 
 impl<'p> LookupCore<'p> {
-    /// The plane this core was decoded from.
+    /// The plane this view walks.
     pub fn plane(&self) -> &'p ForwardingPlane {
         self.plane
-    }
-
-    /// One decoded transition: `(next node | sentinel, next header id)`.
-    #[inline(always)]
-    fn step(&self, at: u32, hid: u32) -> (u32, u32) {
-        self.layout.step(self.plane.node_count(), at, hid)
     }
 
     /// Walks every query of `batch` through the core in ascending
@@ -329,15 +315,13 @@ impl<'p> LookupCore<'p> {
         batch: &[(NodeId, NodeId)],
         scratch: &mut BatchScratch,
     ) -> BatchStats {
-        let plane = self.plane;
-        let n = plane.node_count();
-        let budget = plane.hop_budget() as u32;
+        let core = self.plane.core();
 
         // Counting sort of query indices by destination: sequential
         // destinations make consecutive walks share transition rows, the
         // cache-friendly (and prefetch-friendly) access pattern.
         scratch.counts.clear();
-        scratch.counts.resize(n, 0);
+        scratch.counts.resize(core.n, 0);
         for &(_, t) in batch {
             scratch.counts[t] += 1;
         }
@@ -360,28 +344,9 @@ impl<'p> LookupCore<'p> {
         for k in 0..scratch.order.len() {
             let idx = scratch.order[k] as usize;
             let (source, target) = batch[idx];
-            let Some(mut hid) = plane.initial_id(source, target) else {
-                scratch.hops[idx] = HOPS_UNROUTABLE;
-                stats.failed += 1;
-                continue;
-            };
-            let mut at = source as u32;
-            let mut hops = 0u32;
-            let outcome = loop {
-                let (nn, nh) = self.step(at, hid);
-                if nn >= CORE_INVALID {
-                    break if nn == CORE_DELIVER {
-                        hops
-                    } else {
-                        HOPS_FAILED
-                    };
-                }
-                at = nn;
-                hid = nh;
-                hops += 1;
-                if hops > budget {
-                    break HOPS_FAILED;
-                }
+            let outcome = match core.initial_id(source, target) {
+                None => HOPS_UNROUTABLE,
+                Some(hid) => core.walk_each(source, hid, |_| {}).unwrap_or(HOPS_FAILED),
             };
             scratch.hops[idx] = outcome;
             if outcome < HOPS_FAILED {
@@ -565,48 +530,6 @@ struct ShardStats {
     stretch_samples: usize,
 }
 
-/// Re-walks one failed query through the packed arrays with the exact
-/// decide-loop semantics of the serving engine, returning the surfaced
-/// error. Cold path: failures are rare, so the slow packed walk costs
-/// nothing against the batched core.
-#[cold]
-fn classify_failure(plane: &ForwardingPlane, source: NodeId, target: NodeId) -> RouteError {
-    let budget = plane.hop_budget();
-    let Some(mut hid) = plane.initial_id(source, target) else {
-        return RouteError::Unroutable { source, target };
-    };
-    let mut at = source;
-    let mut hops = 0usize;
-    loop {
-        match plane.decide(at, hid) {
-            // The batched core flagged this query as failed; a delivery
-            // here would mean the decoded core disagrees with the packed
-            // arrays it was built from.
-            Decision::Deliver => {
-                unreachable!("core reported failure for a deliverable query {source}->{target}")
-            }
-            Decision::Forward { port, next } => {
-                let Some(next_node) = plane.neighbor(at, port) else {
-                    return RouteError::BadPort { at, port };
-                };
-                at = next_node;
-                hid = next;
-                hops += 1;
-                if hops > budget {
-                    // Replay the walk to surface the full visited
-                    // sequence for diagnostics.
-                    return plane.walk(source, target).err().unwrap_or(
-                        RouteError::HopBudgetExhausted {
-                            visited: Vec::new(),
-                        },
-                    );
-                }
-            }
-            Decision::Invalid => return RouteError::Unroutable { source, target },
-        }
-    }
-}
-
 fn run_shard(
     core: &LookupCore<'_>,
     queries: &[(NodeId, NodeId)],
@@ -637,7 +560,9 @@ fn run_shard(
                 st.failures.push(QueryFailure {
                     source,
                     target,
-                    error: classify_failure(plane, source, target),
+                    error: plane
+                        .walk(source, target)
+                        .expect_err("the batched walk of this pair failed"),
                 });
             }
             hops => {
@@ -700,7 +625,7 @@ pub fn serve_obs(
     let shards = config.shards.max(1).min(queries.len().max(1));
     let chunk = queries.len().div_ceil(shards).max(1);
     let record = obs.is_enabled();
-    // Decode once, share read-only across every worker shard.
+    // One read-only view, shared across every worker shard.
     let core = plane.lookup_core();
     let start = Instant::now();
     let mut stats: Vec<ShardStats> = Vec::with_capacity(shards);

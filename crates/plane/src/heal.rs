@@ -2,7 +2,7 @@
 //!
 //! A compiled [`ForwardingPlane`] is a snapshot: the moment a link dies
 //! the plane's CSR adjacency and transition arrays describe a topology
-//! that no longer exists, and a plain `decide()` walk would forward
+//! that no longer exists, and a plain walk of its core would forward
 //! packets onto the dead link — silently. This module makes staleness
 //! *detectable*, *repairable* and *survivable*:
 //!
@@ -45,10 +45,8 @@ use cpr_graph::{Graph, NodeId};
 use cpr_paths::{DeltaOracle, DirtyPairs};
 use cpr_routing::{RouteAction, RouteError, RoutingScheme};
 
-use crate::compile::{
-    compile_with_intern, graph_digest, CompileError, Decision, ForwardingPlane, Interner,
-};
-use crate::engine::{QueryFailure, ServeReport};
+use crate::compile::{compile_with_intern, graph_digest, CompileError, ForwardingPlane, Interner};
+use crate::engine::{QueryFailure, ServeReport, CORE_DELIVER, CORE_INVALID};
 use crate::pairset::PairSet;
 
 /// How a query was answered.
@@ -292,8 +290,10 @@ pub struct SelfHealingPlane<S: RoutingScheme> {
 }
 
 /// A healed plane is cloneable into an immutable serving snapshot: the
-/// clone shares nothing with the original, so a route-query server can
-/// publish it RCU-style while the master keeps absorbing churn. Only the
+/// clone shares only the base plane's immutable `Arc`-held arrays with
+/// the original — a rebuild replaces them rather than writing into them —
+/// so a route-query server can publish it RCU-style while the master
+/// keeps absorbing churn. Only the
 /// header type must be cloneable (it already is — every
 /// [`RoutingScheme::Header`] is `Clone`); the scheme itself stays
 /// outside the plane.
@@ -501,8 +501,10 @@ where
     /// *current*, pre-delta view, which is exactly the route whose
     /// survival is in question — `rule` selects. A walk that cannot be
     /// decided (an invalid state, a cycle, or more hops than the budget)
-    /// is conservatively dirty; a pair with no initial header stays as it
-    /// is (one that becomes routable is in the affected set itself).
+    /// is conservatively dirty — "more hops" by the rule of
+    /// [`cpr_routing::route`]: a walk of `hop_budget` hops fails when
+    /// served, so it is dirty too. A pair with no initial header stays as
+    /// it is (one that becomes routable is in the affected set itself).
     ///
     /// Walks are deterministic and share suffixes, so the pass runs per
     /// target with one memo entry per `(node, header id)` state — its
@@ -529,7 +531,7 @@ where
                         continue;
                     };
                     let hops = self.walk_memo(&mut memo, rule, s, hid, t);
-                    if hops == MEMO_HIT || (hops - 1) as usize > self.base.hop_budget() {
+                    if hops == MEMO_HIT || (hops - 1) as usize >= self.base.hop_budget() {
                         newly.push((s, t));
                     }
                 }
@@ -598,9 +600,10 @@ where
         }
     }
 
-    /// One healed decision: the patch layer first, then the base arrays
-    /// (only for header ids the base plane knows about — repaired walks
-    /// may intern ids past its table).
+    /// One healed decision: the patch layer first, then the base plane's
+    /// flat core through the step every walk takes (only for header ids
+    /// the base plane knows about — repaired walks may intern ids past
+    /// its table).
     fn healed_decide(&self, at: NodeId, hid: u32) -> HealedDecision {
         if let Some(step) = self.patch.get(&(at, hid)) {
             return match *step {
@@ -611,13 +614,13 @@ where
         if (hid as usize) >= self.base.header_count() {
             return HealedDecision::Invalid;
         }
-        match self.base.decide(at, hid) {
-            Decision::Deliver => HealedDecision::Deliver,
-            Decision::Forward { port, next } => match self.base.neighbor(at, port) {
-                Some(to) => HealedDecision::Forward { to, next },
-                None => HealedDecision::Invalid,
+        match self.base.core().step(at as u32, hid) {
+            (CORE_DELIVER, _) => HealedDecision::Deliver,
+            (CORE_INVALID, _) => HealedDecision::Invalid,
+            (to, next) => HealedDecision::Forward {
+                to: to as NodeId,
+                next,
             },
-            Decision::Invalid => HealedDecision::Invalid,
         }
     }
 
@@ -920,11 +923,9 @@ where
                     if !from_patch && !self.current_edges.contains(at.min(to), at.max(to)) {
                         // The base arrays point at an edge that no longer
                         // exists and the pair escaped the dirty set — fail
-                        // loudly rather than forward onto a dead link.
-                        let port = match self.base.decide(at, hid) {
-                            Decision::Forward { port, .. } => port,
-                            _ => 0,
-                        };
+                        // loudly rather than forward onto a dead link, on
+                        // the port the compiled adjacency knew it by.
+                        let port = self.base.port_to(at, to).unwrap_or_default();
                         return Err(RouteError::BadPort { at, port });
                     }
                     degraded |= from_patch;
@@ -1240,7 +1241,7 @@ mod tests {
 
     /// The pre-delta healed walk of `(s, t)` as a node sequence, walked
     /// on its own; `None` when it cannot be decided (an invalid state, or
-    /// more hops than the budget).
+    /// a walk `cpr_routing::route` would cut off at the hop budget).
     fn plain_walk<S: RoutingScheme + Sync>(
         plane: &SelfHealingPlane<S>,
         s: NodeId,
@@ -1257,7 +1258,7 @@ mod tests {
                 HealedDecision::Forward { to, next } => {
                     path.push(to);
                     (at, hid) = (to, next);
-                    if path.len() - 1 > plane.base.hop_budget() {
+                    if path.len() > plane.base.hop_budget() {
                         return None;
                     }
                 }
@@ -1428,6 +1429,75 @@ mod tests {
         assert!(check_closure(scheme, true, 4, 14).0 > 10);
         assert!(check_closure(sw_scheme, true, 2, SW_N).0 > 5);
         assert!(check_closure(bgp_scheme, true, 3, 14).0 > 5);
+    }
+
+    /// Shrinks the hop budget of `plane` around its longest walk `L`
+    /// and demands, at `L − 1`, `L` and `L + 1`, that every path agrees
+    /// with `cpr_routing::route`'s rule — a walk of `hop_budget` hops
+    /// fails: `walk`, `walk_into`, `lookup_batch` and the healed walk
+    /// serve exactly the pairs under the budget, and the dirty closure
+    /// dirties exactly the routable pairs they fail.
+    fn check_hop_budget_rule<S>(plane: &SelfHealingPlane<S>)
+    where
+        S: RoutingScheme + Sync,
+        S::Header: Send,
+    {
+        use crate::engine::BatchScratch;
+        let n = plane.base.node_count();
+        let pairs: Vec<_> = (0..n)
+            .flat_map(|s| (0..n).filter(move |&t| t != s).map(move |t| (s, t)))
+            .collect();
+        let hops: Vec<Option<usize>> = pairs
+            .iter()
+            .map(|&(s, t)| plane.base.walk(s, t).ok().map(|p| p.len() - 1))
+            .collect();
+        let longest = hops.iter().flatten().copied().max().unwrap();
+        assert!(longest >= 2, "{}: walks too short", plane.base.scheme());
+        for budget in [longest - 1, longest, longest + 1] {
+            let mut shrunk = plane.clone();
+            shrunk.base.core_mut().hop_budget = budget;
+            let core = shrunk.base.static_core();
+            let mut scratch = BatchScratch::new();
+            shrunk.base.lookup_core().lookup_batch(&pairs, &mut scratch);
+            let batched: Vec<_> = scratch.results().collect();
+            shrunk.mark_closure(Closure::Touches(&PairSet::new(n)));
+            let mut out = Vec::new();
+            for (i, &(s, t)) in pairs.iter().enumerate() {
+                let served = hops[i].filter(|&h| h < budget);
+                let what = format!("{} {s} → {t}, budget {budget}", plane.base.scheme());
+                let walked = shrunk.base.walk(s, t);
+                assert_eq!(walked.as_ref().ok().map(|p| p.len() - 1), served, "{what}");
+                if served.is_none() && hops[i].is_some() {
+                    assert!(
+                        matches!(walked, Err(RouteError::HopBudgetExhausted { .. })),
+                        "{what}"
+                    );
+                }
+                out.clear();
+                let into = core.walk_into(s, t, &mut out).ok();
+                assert_eq!(into.map(|h| h as usize), served, "{what}");
+                assert_eq!(batched[i].map(|h| h as usize), served, "{what}");
+                let healed = shrunk.walk_healed(s, t).ok();
+                assert_eq!(healed.map(|(p, _)| p.len() - 1), served, "{what}");
+                assert_eq!(
+                    shrunk.dirty.contains(s, t),
+                    hops[i].is_some() && served.is_none(),
+                    "{what}: dirty"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn walks_batches_and_the_closure_share_one_hop_budget_rule() {
+        let mut rng = StdRng::seed_from_u64(0xB0D6E7);
+        let g = generators::gnp_connected(SW_N, 2.8 / SW_N as f64, &mut rng);
+        let dense = SelfHealingPlane::new(&scheme(&g), &g).unwrap();
+        assert_eq!(dense.base.memory().layout, "dense");
+        check_hop_budget_rule(&dense);
+        let sparse = SelfHealingPlane::new(&sw_scheme(&g), &g).unwrap();
+        assert_eq!(sparse.base.memory().layout, "sparse");
+        check_hop_budget_rule(&sparse);
     }
 
     /// A handed-down delta is used only when it starts at the topology

@@ -9,11 +9,16 @@
 //!
 //! * [`compile`] flattens any [`RoutingScheme`](cpr_routing::RoutingScheme)
 //!   into an immutable [`ForwardingPlane`]: reachable `(node, header)`
-//!   states are interned to dense ids and their decisions bit-packed into
-//!   flat transition arrays ([`PackedArray`]), with a dense or sparse
-//!   layout chosen from the instance's honest bit accounting. Compilation
-//!   drives the live `step` simulation for every pair and aborts on any
-//!   misroute, and [`validate`] replays all pairs hop-for-hop afterwards.
+//!   states are interned to dense ids and their decisions written, ports
+//!   resolved to neighbors, into the flat `u32` arrays of a
+//!   [`StaticCore`] — the one stored form, which every walk and every
+//!   serving snapshot reads in place. A dense or sparse layout is chosen
+//!   from the instance's honest bit accounting: the size of the
+//!   bit-packed encoding (`kind | port | next header` per entry), which
+//!   [`ForwardingPlane::memory`] reports and [`ForwardingPlane::digest`]
+//!   hashes without ever storing it. Compilation drives the live `step`
+//!   simulation for every pair and aborts on any misroute, and
+//!   [`validate`] replays all pairs hop-for-hop afterwards.
 //! * [`workload`] generates deterministic query batches — uniform,
 //!   degree-weighted gravity, and hotspot traffic.
 //! * [`engine`] serves a batch across sharded scoped threads and reports
@@ -65,7 +70,7 @@ pub mod tenant;
 pub mod workload;
 
 pub use compile::{
-    compile, compile_with_threads, graph_digest, validate, CompileError, Decision, Divergence,
+    compile, compile_with_threads, graph_digest, validate, CompileError, Divergence,
     ForwardingPlane, PackedArray, PlaneMemory,
 };
 pub use engine::{
