@@ -23,8 +23,9 @@ use std::time::Instant;
 use cpr_algebra::policies::ShortestPath;
 use cpr_algebra::RoutingAlgebra;
 use cpr_bench::{
-    experiment_rng, experiment_seed, speedup_field, speedup_reliable, speedup_unreliable_field,
-    timing_enabled, timing_field, Json, TextTable, Topology,
+    env_size, experiment_rng, experiment_seed, report_path, speedup_field, speedup_reliable,
+    speedup_unreliable_field, timing_enabled, timing_field, write_report, Json, TextTable,
+    Topology,
 };
 use cpr_graph::EdgeWeights;
 use cpr_paths::AllPairs;
@@ -34,17 +35,6 @@ use cpr_routing::DestTable;
 const DEFAULT_N: usize = 512;
 /// Best-of-trials to damp scheduler noise.
 const TRIALS: usize = 3;
-
-fn env_n() -> usize {
-    match std::env::var("CPR_BENCH_N") {
-        Ok(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&v| v >= 2)
-            .unwrap_or_else(|| panic!("CPR_BENCH_N must be an integer ≥ 2, got {v:?}")),
-        Err(_) => DEFAULT_N,
-    }
-}
 
 /// 1, 2, 4, …, available_parallelism — deduplicated, ascending.
 fn thread_sweep() -> Vec<usize> {
@@ -73,9 +63,8 @@ fn best_of<R>(mut run: impl FnMut() -> R) -> (f64, R) {
 }
 
 fn main() {
-    let n = env_n();
-    let out_path =
-        std::env::var("CPR_BENCH_OUT").unwrap_or_else(|_| "BENCH_allpairs.json".to_string());
+    let n = env_size("CPR_BENCH_N", DEFAULT_N);
+    let out_path = report_path("BENCH_allpairs.json");
     let sweep = thread_sweep();
 
     let obs = cpr_obs::Obs::from_env();
@@ -183,6 +172,5 @@ fn main() {
         ("sweep", Json::Arr(rows)),
         ("metrics", obs.registry.render_json()),
     ]);
-    std::fs::write(&out_path, report.to_pretty()).expect("write bench report");
-    println!("wrote {out_path}");
+    write_report(&out_path, &report);
 }

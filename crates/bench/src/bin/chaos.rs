@@ -36,7 +36,9 @@ use std::collections::BTreeSet;
 
 use cpr_algebra::policies::{self, ShortestPath, WidestPath};
 use cpr_algebra::RoutingAlgebra;
-use cpr_bench::{experiment_rng, experiment_seed, Json, TextTable};
+use cpr_bench::{
+    env_size, experiment_rng, experiment_seed, report_path, write_report, Json, TextTable,
+};
 use cpr_bgp::bad_gadget;
 use cpr_graph::{generators, traversal, EdgeWeights, Graph, NodeId};
 use cpr_paths::dijkstra;
@@ -50,17 +52,6 @@ use cpr_sim::{
 const DEFAULT_N: usize = 48;
 const DEFAULT_EVENTS: usize = 10;
 const MAX_DELAY: u64 = 9;
-
-fn env_size(key: &str, default: usize) -> usize {
-    match std::env::var(key) {
-        Ok(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&v| v >= 2)
-            .unwrap_or_else(|| panic!("{key} must be an integer ≥ 2, got {v:?}")),
-        Err(_) => default,
-    }
-}
 
 /// Asserts the simulator's RIB weights match `dijkstra` truth for every
 /// pair on `g` and returns nothing — a disagreement is a harness bug.
@@ -337,8 +328,7 @@ fn self_healing_drill(n: usize, obs: &cpr_obs::Obs) -> Json {
 fn main() {
     let n = env_size("CPR_CHAOS_N", DEFAULT_N);
     let events = env_size("CPR_CHAOS_EVENTS", DEFAULT_EVENTS);
-    let out_path =
-        std::env::var("CPR_BENCH_OUT").unwrap_or_else(|_| "BENCH_chaos.json".to_string());
+    let out_path = report_path("BENCH_chaos.json");
 
     println!(
         "Chaos storms: n={n} gnp, {events} seeded fault events per storm, \
@@ -418,6 +408,5 @@ fn main() {
         ("self_healing", heal),
         ("metrics", obs.registry.render_json()),
     ]);
-    std::fs::write(&out_path, report.to_pretty()).expect("write bench report");
-    println!("\nwrote {out_path}");
+    write_report(&out_path, &report);
 }

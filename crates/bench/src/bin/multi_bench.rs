@@ -30,7 +30,10 @@
 
 use std::time::Instant;
 
-use cpr_bench::{experiment_rng, experiment_seed, timing_field, Json, TextTable};
+use cpr_bench::{
+    env_size, experiment_rng, experiment_seed, report_path, timing_field, write_report, Json,
+    TextTable,
+};
 use cpr_conform::{standard_builder, standard_classes};
 use cpr_graph::{generators, Graph, NodeId};
 use cpr_plane::RepairPolicy;
@@ -39,17 +42,6 @@ use cpr_serve::{MultiRouteService, Request, Response, RouteOutcome, ServeConfig}
 const DEFAULT_N: usize = 192;
 const DEFAULT_QUERIES: usize = 1_000;
 const BATCH: usize = 64;
-
-fn env_size(key: &str, default: usize) -> usize {
-    match std::env::var(key) {
-        Ok(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&v| v >= 2)
-            .unwrap_or_else(|| panic!("{key} must be an integer ≥ 2, got {v:?}")),
-        Err(_) => default,
-    }
-}
 
 /// The deterministic per-class workload: `queries` pairs drawn by a
 /// fixed stride so every class sees the same source/target mix.
@@ -279,8 +271,7 @@ fn reconcile_step(
 fn main() {
     let n = env_size("CPR_BENCH_N", DEFAULT_N);
     let queries = env_size("CPR_BENCH_QUERIES", DEFAULT_QUERIES);
-    let out_path =
-        std::env::var("CPR_BENCH_OUT").unwrap_or_else(|_| "BENCH_multi.json".to_string());
+    let out_path = report_path("BENCH_multi.json");
 
     let specs = standard_classes();
     println!(
@@ -372,6 +363,5 @@ fn main() {
         ("repair", Json::Arr(vec![repair_degraded, repair_restored])),
         ("metrics", service.obs().registry.render_json()),
     ]);
-    std::fs::write(&out_path, report.to_pretty()).expect("write bench report");
-    println!("\nwrote {out_path}");
+    write_report(&out_path, &report);
 }

@@ -24,7 +24,8 @@ use std::time::Instant;
 
 use cpr_algebra::policies::{ShortestPath, WidestPath};
 use cpr_bench::{
-    experiment_rng, experiment_seed, timing_enabled, timing_field, Json, TextTable, Topology,
+    env_size, experiment_rng, experiment_seed, report_path, timing_enabled, timing_field,
+    write_report, Json, TextTable, Topology,
 };
 use cpr_graph::{EdgeWeights, Graph, NodeId};
 use cpr_plane::{compile, serve_obs, EngineConfig, TrafficPattern};
@@ -36,17 +37,6 @@ const DEFAULT_QUERIES: usize = 100_000;
 /// damping scheduler noise on shared hosts.
 const TRIALS: usize = 3;
 const SHARDS: [usize; 3] = [1, 2, 4];
-
-fn env_size(key: &str, default: usize) -> usize {
-    match std::env::var(key) {
-        Ok(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&v| v >= 2)
-            .unwrap_or_else(|| panic!("{key} must be an integer ≥ 2, got {v:?}")),
-        Err(_) => default,
-    }
-}
 
 /// Serves the batch through the live simulator, returning (seconds, hops).
 fn live_serve<S: RoutingScheme>(scheme: &S, g: &Graph, queries: &[(NodeId, NodeId)]) -> (f64, u64) {
@@ -145,8 +135,7 @@ where
 fn main() {
     let n = env_size("CPR_BENCH_N", DEFAULT_N);
     let queries_n = env_size("CPR_BENCH_QUERIES", DEFAULT_QUERIES);
-    let out_path =
-        std::env::var("CPR_BENCH_OUT").unwrap_or_else(|_| "BENCH_plane.json".to_string());
+    let out_path = report_path("BENCH_plane.json");
     let threads = cpr_core::par::thread_count();
 
     let obs = cpr_obs::Obs::from_env();
@@ -233,6 +222,5 @@ fn main() {
         ("schemes", Json::Arr(schemes)),
         ("metrics", obs.registry.render_json()),
     ]);
-    std::fs::write(&out_path, report.to_pretty()).expect("write bench report");
-    println!("wrote {out_path}");
+    write_report(&out_path, &report);
 }

@@ -39,8 +39,8 @@ use std::time::Instant;
 
 use cpr_algebra::policies::ShortestPath;
 use cpr_bench::{
-    experiment_rng, experiment_seed, speedup_field, speedup_unreliable_field, timing_field, Json,
-    TextTable, Topology,
+    env_size, experiment_rng, experiment_seed, report_path, speedup_field,
+    speedup_unreliable_field, timing_field, write_report, Json, TextTable, Topology,
 };
 use cpr_graph::{EdgeWeights, Graph, NodeId};
 use cpr_paths::HopMatrix;
@@ -56,17 +56,6 @@ const DEFAULT_QUERIES: usize = 1_000_000;
 /// sort, small enough that the scratch permutation stays cache-resident.
 const CORE_BATCH: usize = 1 << 16;
 const SHARDS: [usize; 3] = [1, 2, 4];
-
-fn env_size(key: &str, default: usize) -> usize {
-    match std::env::var(key) {
-        Ok(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&v| v >= 2)
-            .unwrap_or_else(|| panic!("{key} must be an integer ≥ 2, got {v:?}")),
-        Err(_) => default,
-    }
-}
 
 /// 1, 2, 4, …, available_parallelism — deduplicated, ascending.
 fn thread_sweep() -> Vec<usize> {
@@ -312,8 +301,7 @@ where
 fn main() {
     let n = env_size("CPR_BENCH_N", DEFAULT_N);
     let queries_n = env_size("CPR_BENCH_QUERIES", DEFAULT_QUERIES);
-    let out_path =
-        std::env::var("CPR_BENCH_OUT").unwrap_or_else(|_| "BENCH_scale.json".to_string());
+    let out_path = report_path("BENCH_scale.json");
     let sweep = thread_sweep();
 
     let obs = cpr_obs::Obs::from_env();
@@ -385,6 +373,5 @@ fn main() {
         ("schemes", Json::Arr(schemes)),
         ("metrics", obs.registry.render_json()),
     ]);
-    std::fs::write(&out_path, report.to_pretty()).expect("write bench report");
-    println!("wrote {out_path}");
+    write_report(&out_path, &report);
 }

@@ -32,8 +32,8 @@ use std::time::Instant;
 
 use cpr_algebra::policies::ShortestPath;
 use cpr_bench::{
-    experiment_rng, experiment_seed, host_metadata, timing_enabled, timing_field, Json, TextTable,
-    Topology,
+    env_size, experiment_rng, experiment_seed, host_metadata, report_path, timing_enabled,
+    timing_field, write_report, Json, TextTable, Topology,
 };
 use cpr_graph::{EdgeWeights, Graph};
 use cpr_obs::Histogram;
@@ -48,17 +48,6 @@ use cpr_sim::{topology_timeline, FaultPlan, StormConfig, TopologyStep};
 const DEFAULT_N: usize = 48;
 const DEFAULT_QUERIES: usize = 2000;
 const STORM_EVENTS: usize = 6;
-
-fn env_size(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&x| x >= 2)
-            .unwrap_or_else(|| panic!("{name} must be an integer ≥ 2, got {v:?}")),
-        Err(_) => default,
-    }
-}
 
 fn scheme_for(graph: &Graph) -> DestTable {
     let w = EdgeWeights::uniform(graph, 1u64);
@@ -236,8 +225,7 @@ fn main() {
     let n = env_size("CPR_BENCH_N", DEFAULT_N);
     let queries = env_size("CPR_BENCH_QUERIES", DEFAULT_QUERIES);
     let clients = LoadConfig::clients_from_env(2);
-    let out_path =
-        std::env::var("CPR_BENCH_OUT").unwrap_or_else(|_| "BENCH_serve.json".to_string());
+    let out_path = report_path("BENCH_serve.json");
 
     let mut rng = experiment_rng("serve-bench", n);
     let g = Topology::ScaleFree.build(n, &mut rng);
@@ -459,6 +447,5 @@ fn main() {
         ),
         ("metrics", service.obs().registry.render_json()),
     ]);
-    std::fs::write(&out_path, report.to_pretty()).expect("write bench report");
-    println!("wrote {out_path}");
+    write_report(&out_path, &report);
 }

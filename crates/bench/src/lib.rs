@@ -28,6 +28,39 @@ use rand::SeedableRng;
 /// `cpr_bench::Json` callers keep compiling.
 pub use cpr_obs::Json;
 
+/// The size knob `key` of a bench binary (an instance size, a query or
+/// event count): its value when set, else `default`.
+///
+/// # Panics
+///
+/// Panics when `key` is set to anything but an integer ≥ 2.
+pub fn env_size(key: &str, default: usize) -> usize {
+    match std::env::var(key) {
+        Ok(v) => v
+            .parse::<usize>()
+            .ok()
+            .filter(|&v| v >= 2)
+            .unwrap_or_else(|| panic!("{key} must be an integer ≥ 2, got {v:?}")),
+        Err(_) => default,
+    }
+}
+
+/// Where a bench binary writes its JSON report: `CPR_BENCH_OUT` when
+/// set, else `default`.
+pub fn report_path(default: &str) -> String {
+    std::env::var("CPR_BENCH_OUT").unwrap_or_else(|_| default.to_string())
+}
+
+/// Writes `report` pretty-printed to `path` and says so on stdout.
+///
+/// # Panics
+///
+/// Panics when the file cannot be written.
+pub fn write_report(path: &str, report: &Json) {
+    std::fs::write(path, report.to_pretty()).expect("write bench report");
+    println!("\nwrote {path}");
+}
+
 /// `false` when `CPR_BENCH_TIMING=0`: bench binaries then skip repeated
 /// timing trials and render every wall-clock field as `null`, making
 /// whole `BENCH_*.json` files byte-deterministic (the mode the

@@ -107,19 +107,31 @@ pub struct StaticCore {
     pub(crate) layout: CoreLayout,
 }
 
-/// Why [`StaticCore::walk_each`] stopped short of delivery.
-enum WalkStop {
-    /// An invalid state.
+/// Why a walk ([`StaticCore::walk_each`], or the healed walk of
+/// `crate::heal`) stopped short of delivery.
+pub(crate) enum WalkStop {
+    /// No initial header, or an invalid state.
     Unroutable,
     /// The hop budget ran out.
     Exhausted,
+    /// A hop onto an edge the topology lacks.
+    DeadLink { at: NodeId, port: usize },
+    /// The pair awaits repair.
+    AwaitingRepair,
 }
 
 impl WalkStop {
-    fn into_error(self, source: NodeId, target: NodeId, visited: Vec<NodeId>) -> RouteError {
+    pub(crate) fn into_error(
+        self,
+        source: NodeId,
+        target: NodeId,
+        visited: Vec<NodeId>,
+    ) -> RouteError {
         match self {
             WalkStop::Unroutable => RouteError::Unroutable { source, target },
             WalkStop::Exhausted => RouteError::HopBudgetExhausted { visited },
+            WalkStop::DeadLink { at, port } => RouteError::BadPort { at, port },
+            WalkStop::AwaitingRepair => RouteError::AwaitingRepair { source, target },
         }
     }
 }

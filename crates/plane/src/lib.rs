@@ -78,7 +78,7 @@ pub use engine::{
     ServeReport, StaticCore, StretchStats,
 };
 pub use heal::{
-    DirtySource, EdgeDelta, HealthCounters, PendingWork, RepairPolicy, RepairStats,
+    DirtySource, EdgeDelta, HealthCounters, PendingWork, PublishedPlane, RepairPolicy, RepairStats,
     SelfHealingPlane, Served, StaleReport,
 };
 pub use multi::{

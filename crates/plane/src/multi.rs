@@ -16,7 +16,10 @@
 //! * one topology delta produces **one** shared dirty set
 //!   ([`DirtySource::Pairs`]) distributed to every class together with
 //!   the event's [`EdgeDelta`] — N classes pay one topology diff and one
-//!   delta analysis per churn event, not N.
+//!   delta analysis per churn event, not N;
+//! * a [`MultiSnapshot`] shares the topology, its edge set and each
+//!   class's [`PublishedPlane`] — twelve classes at n = 512 publish in
+//!   3 569 heap bytes and 3–5 µs on a 2-core Xeon VM, fresh or repaired.
 //!
 //! [`MultiMemory`] reports the honest bit accounting both ways —
 //! substrate counted once ([`MultiMemory::multi_total_bits`]) vs. the
@@ -49,9 +52,9 @@ use cpr_paths::{DeltaOracle, DirtyPairs, EdgeChanges};
 use cpr_routing::{RouteError, RoutingScheme, SchemeFactory};
 
 use crate::compile::{graph_digest, CompileError, ForwardingPlane};
-use crate::engine::StaticCore;
 use crate::heal::{
-    DirtySource, EdgeDelta, HealthCounters, RepairPolicy, RepairStats, SelfHealingPlane, Served,
+    DirtySource, EdgeDelta, HealthCounters, PublishedPlane, RepairPolicy, RepairStats,
+    SelfHealingPlane, Served,
 };
 use crate::pairset::PairSet;
 use crate::tenant::{build_tenant_class, TenantClass, TenantError, MAX_CLASSES};
@@ -128,14 +131,9 @@ pub trait ClassPlane: Send + Sync {
     /// Cumulative health counters.
     fn counters(&self) -> HealthCounters;
 
-    /// An owned zero-alloc serving core — `Some` only when the base
-    /// plane is current for `graph` and nothing overrides it (no patch
-    /// entries, no dirty pairs), because the flat core bypasses the
-    /// patch layer entirely.
-    fn serving_core(&self, graph: &Graph) -> Option<StaticCore>;
-
-    /// Clones the class for an immutable serving snapshot.
-    fn clone_box(&self) -> Box<dyn ClassPlane>;
+    /// What a serving snapshot of the topology whose [`graph_digest`] is
+    /// `digest` holds of the class ([`SelfHealingPlane::published`]).
+    fn published(&self, digest: u64) -> PublishedPlane;
 }
 
 /// The concrete [`ClassPlane`] for any scheme type: a name, a scheme
@@ -167,7 +165,7 @@ pub struct RepairTiming {
 
 impl<S> TypedClassPlane<S>
 where
-    S: RoutingScheme + Clone + PartialEq + Send + Sync + 'static,
+    S: RoutingScheme + PartialEq + Send + Sync + 'static,
     S::Header: Send + Sync,
 {
     /// Builds the scheme from `factory` and compiles it over `graph`.
@@ -204,7 +202,7 @@ where
 
 impl<S> ClassPlane for TypedClassPlane<S>
 where
-    S: RoutingScheme + Clone + PartialEq + Send + Sync + 'static,
+    S: RoutingScheme + PartialEq + Send + Sync + 'static,
     S::Header: Send + Sync,
 {
     fn class_name(&self) -> &str {
@@ -289,25 +287,8 @@ where
         self.healing.counters()
     }
 
-    fn serving_core(&self, graph: &Graph) -> Option<StaticCore> {
-        if self.healing.base().is_current_for(graph)
-            && self.healing.patch_entries() == 0
-            && self.healing.dirty_pairs() == 0
-        {
-            Some(self.healing.base().static_core())
-        } else {
-            None
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn ClassPlane> {
-        Box::new(TypedClassPlane {
-            name: self.name.clone(),
-            factory: Arc::clone(&self.factory),
-            scheme: self.scheme.clone(),
-            scheme_digest: self.scheme_digest,
-            healing: self.healing.clone(),
-        })
+    fn published(&self, digest: u64) -> PublishedPlane {
+        self.healing.published(digest)
     }
 }
 
@@ -342,7 +323,7 @@ impl MultiBuilder {
         factory: impl SchemeFactory<S> + 'static,
     ) -> Self
     where
-        S: RoutingScheme + Clone + PartialEq + Send + Sync + 'static,
+        S: RoutingScheme + PartialEq + Send + Sync + 'static,
         S::Header: Send + Sync,
     {
         let name = name.into();
@@ -542,30 +523,24 @@ impl fmt::Display for MultiMemory {
     }
 }
 
-/// One clone of a class inside a [`MultiSnapshot`], with the optional
-/// zero-alloc fast path.
-struct SnapshotClass {
-    plane: Box<dyn ClassPlane>,
-    /// `Some` only when the class's base plane is pristine for the
-    /// snapshot topology — the flat core bypasses the patch layer, so a
-    /// degraded class always serves through the healed walk instead.
-    core: Option<StaticCore>,
-}
-
 /// A snapshot slot mirrors the master's [`Slot`] layout so class ids
-/// mean the same thing on both sides of the RCU swap.
-enum SnapSlot {
-    Live(SnapshotClass),
-    Retired(String),
+/// mean the same thing on both sides of the RCU swap: a retired slot
+/// keeps its name and holds no plane.
+struct SnapSlot {
+    name: String,
+    plane: Option<PublishedPlane>,
 }
 
-/// An immutable multi-class serving snapshot, cloned from the master
-/// [`MultiPlane`] RCU-style: serving threads share `&MultiSnapshot`
-/// while the master keeps absorbing churn.
+/// An immutable multi-class serving snapshot of the master
+/// [`MultiPlane`], published RCU-style while the master keeps absorbing
+/// churn. It shares all it holds with the master — topology, edge set,
+/// each class's base arrays and repair overlay — and consults no scheme.
 pub struct MultiSnapshot {
     epoch: u64,
     digest: u64,
-    graph: Graph,
+    graph: Arc<Graph>,
+    /// The edge set off-core classes check every hop against.
+    edges: Arc<PairSet>,
     classes: Vec<SnapSlot>,
 }
 
@@ -598,10 +573,7 @@ impl MultiSnapshot {
     ///
     /// Panics when `class` is out of range.
     pub fn class_name(&self, class: usize) -> &str {
-        match &self.classes[class] {
-            SnapSlot::Live(c) => c.plane.class_name(),
-            SnapSlot::Retired(name) => name,
-        }
+        &self.classes[class].name
     }
 
     /// Whether slot `class` serves (i.e. is not a deregistered
@@ -611,27 +583,33 @@ impl MultiSnapshot {
     ///
     /// Panics when `class` is out of range.
     pub fn class_live(&self, class: usize) -> bool {
-        matches!(self.classes[class], SnapSlot::Live(_))
+        self.classes[class].plane.is_some()
     }
 
     /// Whether class `class` currently serves through its zero-alloc
-    /// flat core (pristine base) rather than the healed walk.
+    /// flat core rather than the healed walk: it has no repair overlay
+    /// and no pair awaiting repair, and its base plane was compiled for
+    /// the snapshot topology.
     ///
     /// # Panics
     ///
     /// Panics when `class` is out of range.
     pub fn class_on_core(&self, class: usize) -> bool {
-        matches!(&self.classes[class], SnapSlot::Live(c) if c.core.is_some())
+        self.classes[class]
+            .plane
+            .as_ref()
+            .is_some_and(|p| p.on_core)
     }
 
-    /// `true` when no live class has pairs awaiting repair — published
-    /// snapshots always are, because the multi reconcile repairs every
-    /// class before the swap.
+    /// `false` when a live class still has pairs awaiting repair — only
+    /// after a failed [`MultiPlane::reconcile`]: a successful one repairs
+    /// every class before the swap. Those pairs answer
+    /// [`RouteError::AwaitingRepair`].
     pub fn is_fresh(&self) -> bool {
-        self.classes.iter().all(|c| match c {
-            SnapSlot::Live(c) => c.plane.dirty_pairs() == 0,
-            SnapSlot::Retired(_) => true,
-        })
+        self.classes
+            .iter()
+            .filter_map(|c| c.plane.as_ref())
+            .all(|p| p.awaiting.is_none())
     }
 
     /// Resolves a wire-supplied class id to its serving class — the
@@ -645,23 +623,26 @@ impl MultiSnapshot {
     /// [`ClassMiss`] when `class` does not serve.
     pub fn serving(&self, class: usize) -> Result<ServingClass<'_>, ClassMiss> {
         match self.classes.get(class) {
-            Some(SnapSlot::Live(served)) => Ok(ServingClass {
-                graph: &self.graph,
-                served,
+            Some(SnapSlot {
+                plane: Some(plane), ..
+            }) => Ok(ServingClass {
+                edges: &self.edges,
+                plane,
             }),
-            Some(SnapSlot::Retired(_)) => Err(ClassMiss::Retired),
+            Some(_) => Err(ClassMiss::Retired),
             None => Err(ClassMiss::OutOfRange),
         }
     }
 
     /// Routes `source → target` in traffic class `class`: through the
-    /// class's flat [`StaticCore`] when its base plane is pristine,
-    /// otherwise through the healed patch-over-base walk with live-edge
-    /// checks.
+    /// class's flat [`StaticCore`](crate::StaticCore) when it is
+    /// [on core](Self::class_on_core), otherwise through the healed
+    /// overlay-over-base walk with live-edge checks.
     ///
     /// # Errors
     ///
-    /// Same as [`SelfHealingPlane::lookup`].
+    /// Same as [`SelfHealingPlane::lookup`], except that a pair awaiting
+    /// repair answers [`RouteError::AwaitingRepair`].
     ///
     /// # Panics
     ///
@@ -673,13 +654,9 @@ impl MultiSnapshot {
         source: NodeId,
         target: NodeId,
     ) -> Result<(Vec<NodeId>, Served), RouteError> {
-        let c = match self.serving(class) {
-            Ok(c) => c.served,
+        match self.serving(class) {
+            Ok(c) => c.plane.lookup(c.edges, source, target),
             Err(miss) => panic!("class {class} does not serve: {miss:?}"),
-        };
-        match &c.core {
-            Some(core) => core.walk(source, target).map(|p| (p, Served::Compiled)),
-            None => c.plane.lookup(&self.graph, source, target),
         }
     }
 }
@@ -696,42 +673,36 @@ pub enum ClassMiss {
 /// One live class of a [`MultiSnapshot`]; see
 /// [`MultiSnapshot::serving`].
 pub struct ServingClass<'s> {
-    graph: &'s Graph,
-    served: &'s SnapshotClass,
+    edges: &'s PairSet,
+    plane: &'s PublishedPlane,
 }
 
 impl ServingClass<'_> {
     /// [`MultiSnapshot::lookup`] appending the node sequence to `out`
-    /// as wire-width ids and returning the hop count: through
-    /// [`StaticCore::walk_into`] — no allocation — when the class is on
-    /// its core, through the healed walk otherwise.
+    /// as wire-width ids and returning the hop count — no allocation
+    /// once `out` has grown, on the core and off it.
     ///
     /// # Errors
     ///
-    /// Same as [`SelfHealingPlane::lookup`]; on error `out` is left as
-    /// it was passed in.
+    /// Same as [`MultiSnapshot::lookup`]; on error `out` is left as it
+    /// was passed in.
     pub fn walk_into(
         &self,
         source: NodeId,
         target: NodeId,
         out: &mut Vec<u32>,
     ) -> Result<u32, RouteError> {
-        match &self.served.core {
-            Some(core) => core.walk_into(source, target, out),
-            None => {
-                let (path, _) = self.served.plane.lookup(self.graph, source, target)?;
-                out.extend(path.iter().map(|&v| v as u32));
-                Ok(path.len().saturating_sub(1) as u32)
-            }
-        }
+        self.plane.walk_into(self.edges, source, target, out)
     }
 }
 
 /// All traffic classes of one process, compiled over one topology with
 /// the substrate shared; see the module docs for the sharing contract.
 pub struct MultiPlane {
-    graph: Graph,
+    graph: Arc<Graph>,
     digest: u64,
+    /// The served topology's edge set, shared with every snapshot.
+    edges: Arc<PairSet>,
     classes: Vec<Slot>,
     epoch: u64,
 }
@@ -754,8 +725,9 @@ impl MultiPlane {
         }
         dedupe_substrate(&mut classes);
         Ok(MultiPlane {
-            graph: graph.clone(),
+            graph: Arc::new(graph.clone()),
             digest: graph_digest(graph),
+            edges: Arc::new(PairSet::of_edges(graph)),
             classes,
             epoch: 0,
         })
@@ -957,7 +929,7 @@ impl MultiPlane {
             });
         }
         // One diff per event; every class takes it from here.
-        let delta = EdgeDelta::diff(&PairSet::of_edges(&self.graph), self.digest, graph);
+        let delta = EdgeDelta::diff(&self.edges, self.digest, graph);
         let (removed, added) = (delta.removed(), delta.added());
         if delta.is_empty() {
             return Ok(MultiRepairReport {
@@ -1020,8 +992,9 @@ impl MultiPlane {
             class_stats.push((plane.class_name().to_string(), stats));
         }
         dedupe_substrate(&mut self.classes);
-        self.graph = graph.clone();
+        self.graph = Arc::new(graph.clone());
         self.digest = delta.to_digest();
+        self.edges = Arc::new(PairSet::of_edges(graph));
         self.epoch += 1;
         obs.event(
             "multi.reconcile",
@@ -1043,24 +1016,23 @@ impl MultiPlane {
         })
     }
 
-    /// Clones every class into an immutable [`MultiSnapshot`], attaching
-    /// a zero-alloc [`StaticCore`] to each class whose base plane is
-    /// pristine for the current topology. Class oracles stay behind:
-    /// a snapshot never reconciles.
+    /// Publishes every class into an immutable [`MultiSnapshot`]: each
+    /// live class contributes its [`PublishedPlane`], which shares the
+    /// base arrays and the repair overlay, so a snapshot costs a few
+    /// reference counts per class. Schemes and class oracles stay
+    /// behind: a snapshot never reconciles.
     pub fn snapshot(&self) -> MultiSnapshot {
         MultiSnapshot {
             epoch: self.epoch,
             digest: self.digest,
-            graph: self.graph.clone(),
+            graph: Arc::clone(&self.graph),
+            edges: Arc::clone(&self.edges),
             classes: self
                 .classes
                 .iter()
-                .map(|slot| match slot {
-                    Slot::Live { plane, .. } => SnapSlot::Live(SnapshotClass {
-                        core: plane.serving_core(&self.graph),
-                        plane: plane.clone_box(),
-                    }),
-                    Slot::Retired { name } => SnapSlot::Retired(name.clone()),
+                .map(|slot| SnapSlot {
+                    name: slot.name().to_string(),
+                    plane: slot.live().map(|c| c.published(self.digest)),
                 })
                 .collect(),
         }

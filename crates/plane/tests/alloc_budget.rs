@@ -13,13 +13,14 @@
 //! * `compile` of a many-header / few-states scheme (`SrcDestTable`:
 //!   `n²` headers of a path's worth of states each) peaks within a
 //!   stated number of heap bytes per compiled state;
-//! * a serving snapshot of the twelve standard classes copies no
-//!   transition array, and neither does a plane's `static_core()`.
+//! * a serving snapshot of the twelve standard classes copies no class
+//!   state — fresh or after a repair — and a plane's `static_core()`
+//!   allocates nothing.
 
 use cpr_algebra::policies::{Capacity, ShortestPath};
-use cpr_graph::{generators, EdgeWeights, Graph};
+use cpr_graph::{generators, traversal, EdgeWeights, Graph};
 use cpr_paths::AllPairs;
-use cpr_plane::{compile, MultiPlane, PlaneMemory};
+use cpr_plane::{compile, MultiPlane, RepairPolicy};
 use cpr_routing::{DestTable, SrcDestTable, SwClassTable};
 use rand::SeedableRng;
 
@@ -104,40 +105,31 @@ fn compile_of_a_many_header_scheme_stays_within_bytes_per_state() {
 /// many-header scheme.
 const BYTES_PER_STATE: u64 = 96;
 
-/// Heap bytes `MultiPlane::snapshot()` allocated for the twelve
-/// standard classes on [`instance`] when every snapshot held a packed
-/// clone of each class plane *and* a freshly decoded flat core of it:
-/// 3 302 870 bytes in 1 332 allocations, of which the flat cores were
-/// 1 302 332 and the packed clones 308 177.
-const SNAPSHOT_BYTES_WITH_COPIES: u64 = 3_302_870;
+/// Heap bytes `MultiPlane::snapshot()` may allocate for the twelve
+/// standard classes on [`instance`], fresh or after a reconciled
+/// removal. A snapshot that cloned each class plane — scheme, interner,
+/// edge and dirty sets, patch maps — allocated 1 691 118 bytes fresh and
+/// 7 233 310 after one removal; one that shares the base arrays and the
+/// repair overlay allocates names and slots.
+const SNAPSHOT_BUDGET: u64 = 64 * 1024;
 
-/// Resident bytes of a plane's flat core: two `u32`s per dense slot, or
-/// a key and two `u32`s per sparse state plus the run offsets.
-fn flat_core_bytes(mem: &PlaneMemory) -> u64 {
-    match mem.layout {
-        "dense" => 8 * (mem.nodes * mem.headers) as u64,
-        _ => 4 * (mem.nodes as u64 + 1) + 12 * mem.states as u64,
-    }
+/// Measures a snapshot of `multi` against [`SNAPSHOT_BUDGET`].
+fn assert_snapshot_within_budget(multi: &MultiPlane, on_core: bool, when: &str) {
+    let (snapshot, _, bytes) = measure(|| multi.snapshot());
+    assert!((0..12).all(|class| snapshot.class_on_core(class) == on_core));
+    assert!(
+        bytes <= SNAPSHOT_BUDGET,
+        "a snapshot {when} allocated {bytes} heap bytes (budget {SNAPSHOT_BUDGET})"
+    );
 }
 
 #[test]
 fn snapshots_and_static_cores_copy_no_transition_array() {
     let _guard = serial();
     let g = instance();
-    let multi = MultiPlane::build(&g, cpr_conform::standard_builder()).unwrap();
+    let mut multi = MultiPlane::build(&g, cpr_conform::standard_builder()).unwrap();
     assert_eq!(multi.classes().count(), 12);
-    let flat: u64 = multi
-        .classes()
-        .map(|c| flat_core_bytes(&c.base().memory()))
-        .sum();
-    let (snapshot, _, bytes) = measure(|| multi.snapshot());
-    assert!((0..12).all(|class| snapshot.class_on_core(class)));
-    let budget = SNAPSHOT_BYTES_WITH_COPIES - flat;
-    assert!(
-        bytes <= budget,
-        "a snapshot allocated {bytes} heap bytes (budget {budget}: \
-         {SNAPSHOT_BYTES_WITH_COPIES} less {flat} bytes of flat cores)"
-    );
+    assert_snapshot_within_budget(&multi, true, "of a fresh build");
     for class in multi.classes() {
         let (_, allocs, bytes) = measure(|| class.base().static_core());
         assert_eq!(
@@ -147,4 +139,16 @@ fn snapshots_and_static_cores_copy_no_transition_array() {
             class.class_name()
         );
     }
+    let pruned = g
+        .edges()
+        .map(|(victim, _)| {
+            let kept = g.edges().filter(|&(e, _)| e != victim).map(|(_, uv)| uv);
+            Graph::from_edges(N, kept).unwrap()
+        })
+        .find(traversal::is_connected)
+        .expect("some edge is not a bridge");
+    multi
+        .reconcile(&pruned, &RepairPolicy::default(), &cpr_obs::Obs::disabled())
+        .unwrap();
+    assert_snapshot_within_budget(&multi, false, "after a removal");
 }

@@ -7,14 +7,17 @@
 //! `full_rebuilds == 0` on additions-only storms, across the adversarial
 //! sequences (add→remove-same→add-again, crash→restore→add), and that a
 //! [`MultiPlane`] class registered with its own tracker keeps the
-//! property while its oracle-less neighbour rebuilds.
+//! property while its oracle-less neighbour rebuilds. A snapshot taken
+//! after a failed reconcile answers the pairs still awaiting repair with
+//! an error.
 
 use cpr_algebra::policies::ShortestPath;
 use cpr_graph::{generators, EdgeWeights, Graph, NodeId};
 use cpr_plane::{
-    DeltaTracker, MultiBuilder, MultiPlane, MultiSnapshot, RepairPolicy, SelfHealingPlane,
+    CompileError, DeltaTracker, MultiBuilder, MultiPlane, MultiSnapshot, RepairPolicy,
+    SelfHealingPlane, Served,
 };
-use cpr_routing::DestTable;
+use cpr_routing::{DestTable, RouteAction, RouteError, RoutingScheme};
 use rand::SeedableRng;
 
 /// Symmetric keyed weight: a pure function of the (unordered) endpoint
@@ -357,4 +360,173 @@ fn multi_plane_patches_additions_only_for_the_class_with_an_oracle() {
     assert!(report.class_stats[UNTRACKED].1.full_rebuild);
     assert_both_match_fresh(|c, s, t| master_lookup(&multi, c, s, t), &last);
     assert_both_match_fresh(|c, s, t| snap_lookup(&snapshot, c, s, t), &regrown);
+}
+
+/// A shortest-path destination table that, when `broken`, delivers
+/// every packet where it stands.
+#[derive(Clone, PartialEq)]
+struct Misdelivers {
+    table: DestTable,
+    broken: bool,
+}
+
+impl RoutingScheme for Misdelivers {
+    type Header = NodeId;
+
+    fn name(&self) -> String {
+        self.table.name()
+    }
+
+    fn node_count(&self) -> usize {
+        self.table.node_count()
+    }
+
+    fn initial_header(&self, source: NodeId, target: NodeId) -> Option<NodeId> {
+        self.table.initial_header(source, target)
+    }
+
+    fn step(&self, at: NodeId, header: &NodeId) -> RouteAction<NodeId> {
+        if self.broken {
+            RouteAction::Deliver
+        } else {
+            self.table.step(at, header)
+        }
+    }
+
+    fn local_memory_bits(&self, v: NodeId) -> u64 {
+        self.table.local_memory_bits(v)
+    }
+
+    fn label_bits(&self, v: NodeId) -> u64 {
+        self.table.label_bits(v)
+    }
+
+    fn header_bits(&self) -> u64 {
+        self.table.header_bits()
+    }
+}
+
+/// A registry of class 0 `sound` and class 1 `flaky`, whose scheme
+/// misdelivers on every topology but one with `edges` edges.
+fn sound_and_flaky(edges: usize) -> MultiBuilder {
+    MultiBuilder::new()
+        .class("sound", scheme_of)
+        .class("flaky", move |g: &Graph| Misdelivers {
+            table: scheme_of(g),
+            broken: g.edge_count() != edges,
+        })
+}
+
+/// The one state in which a published class holds dirty pairs: a
+/// reconcile failed (here: one class's scheme misdelivers on the new
+/// topology) and a snapshot was taken anyway. The snapshot consults no
+/// scheme, so every pair awaiting repair answers `AwaitingRepair` — never
+/// a stale hop, never a fallback — and the snapshot reports itself stale.
+/// A class that moved to the new topology before the failure serves the
+/// snapshot's topology: off its core, and over no edge it lacks.
+#[test]
+fn a_snapshot_after_a_failed_reconcile_refuses_the_pairs_awaiting_repair() {
+    const SOUND: usize = 0;
+    const FLAKY: usize = 1;
+    let mut r = rand::rngs::StdRng::seed_from_u64(0xD127);
+    let base = generators::barabasi_albert(40, 2, &mut r);
+    let (x, y) = base
+        .edges()
+        .map(|(_, uv)| uv)
+        .find(|&(a, b)| base.degree(a) > 1 && base.degree(b) > 1)
+        .expect("some edge has no leaf endpoint");
+    let pruned = Graph::from_edges(
+        base.node_count(),
+        base.edges().map(|(_, uv)| uv).filter(|&uv| uv != (x, y)),
+    )
+    .unwrap();
+    let mut multi = MultiPlane::build(&base, sound_and_flaky(base.edge_count())).unwrap();
+    assert!(multi.snapshot().is_fresh());
+    let failed = multi.reconcile(&pruned, &RepairPolicy::default(), &cpr_obs::Obs::disabled());
+    assert!(
+        matches!(failed, Err(CompileError::Misdelivery { .. })),
+        "{failed:?}"
+    );
+    let dirty = multi.classes().nth(FLAKY).unwrap().dirty_pairs();
+    assert!(dirty > 0);
+
+    let snap = multi.snapshot();
+    assert!(!snap.is_fresh());
+    assert!(!snap.class_on_core(FLAKY));
+    let mut awaiting = 0;
+    let mut out = Vec::new();
+    for s in base.nodes() {
+        for t in base.nodes().filter(|&t| t != s) {
+            match snap.lookup(FLAKY, s, t) {
+                Err(RouteError::AwaitingRepair { source, target }) => {
+                    assert_eq!((source, target), (s, t));
+                    awaiting += 1;
+                }
+                Ok((path, served)) => {
+                    assert_ne!(served, Served::Fallback, "{s} → {t}");
+                    assert!(
+                        path.windows(2).all(|h| pruned.contains_edge(h[0], h[1])),
+                        "{s} → {t} served {path:?} over the removed edge"
+                    );
+                    assert_eq!((path[0], path[path.len() - 1]), (s, t));
+                }
+                Err(e) => panic!("{s} → {t}: {e}"),
+            }
+            out.clear();
+            let into = snap.serving(FLAKY).unwrap().walk_into(s, t, &mut out);
+            let looked = snap.lookup(FLAKY, s, t);
+            assert_eq!(into.is_ok(), looked.is_ok(), "{s} → {t}");
+            if let Ok((path, _)) = looked {
+                assert!(out.iter().map(|&v| v as NodeId).eq(path), "{s} → {t}");
+            }
+        }
+    }
+    assert_eq!(awaiting, dirty);
+
+    // A failed addition: `sound` rebuilds onto the grown topology before
+    // `flaky` fails, so the master's `sound` routes over the new edge
+    // while the snapshot's topology (still `base`) lacks it.
+    let (u, v) = first_non_edges(&base, 64)
+        .into_iter()
+        .find(|&(u, v)| {
+            let grown = with_extra_edges(&base, &[(u, v)]);
+            cpr_routing::route(&scheme_of(&grown), &grown, u, v).is_ok_and(|p| p.len() == 2)
+        })
+        .expect("some added edge carries its own pair");
+    let grown = with_extra_edges(&base, &[(u, v)]);
+    let mut multi = MultiPlane::build(&base, sound_and_flaky(base.edge_count())).unwrap();
+    let digest = multi.digest();
+    let failed = multi.reconcile(&grown, &RepairPolicy::default(), &cpr_obs::Obs::disabled());
+    assert!(failed.is_err(), "{failed:?}");
+    let snap = multi.snapshot();
+    assert_eq!(snap.digest(), digest);
+    assert!(!snap.is_fresh());
+    assert!(
+        !snap.class_on_core(SOUND),
+        "rebuilt for a topology it does not serve"
+    );
+    let crosses = |p: &[NodeId]| {
+        p.windows(2)
+            .any(|h| (h[0].min(h[1]), h[0].max(h[1])) == (u, v))
+    };
+    let (mut over, mut refused) = (0, 0);
+    for s in base.nodes() {
+        for t in base.nodes().filter(|&t| t != s) {
+            let master = multi.lookup(SOUND, s, t).unwrap().0;
+            over += usize::from(crosses(&master));
+            match snap.lookup(SOUND, s, t) {
+                Ok((path, _)) => {
+                    assert!(
+                        !crosses(&path),
+                        "{s} → {t} served {path:?} over the added edge"
+                    );
+                    assert_eq!(path, master, "{s} → {t}");
+                }
+                Err(RouteError::BadPort { .. }) => refused += 1,
+                Err(e) => panic!("{s} → {t}: {e}"),
+            }
+        }
+    }
+    assert!(over > 0);
+    assert_eq!(refused, over);
 }

@@ -44,6 +44,14 @@ pub enum RouteError {
         /// Target of the attempted route.
         target: NodeId,
     },
+    /// A forwarding plane observed a topology change that dirtied the
+    /// pair and holds no verified route for it yet.
+    AwaitingRepair {
+        /// Source of the attempted route.
+        source: NodeId,
+        /// Target of the attempted route.
+        target: NodeId,
+    },
 }
 
 impl fmt::Display for RouteError {
@@ -57,6 +65,12 @@ impl fmt::Display for RouteError {
             }
             RouteError::Unroutable { source, target } => {
                 write!(f, "scheme declared {source} → {target} unroutable")
+            }
+            RouteError::AwaitingRepair { source, target } => {
+                write!(
+                    f,
+                    "{source} → {target} awaits repair after a topology change"
+                )
             }
         }
     }

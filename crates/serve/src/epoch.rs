@@ -3,13 +3,14 @@
 //!
 //! The serving path never takes a lock for longer than one pointer
 //! clone. A [`MultiSnapshot`](cpr_plane::MultiSnapshot) bundles
-//! everything a lookup needs — the topology and every class's repaired
-//! plane with its live scheme (for dirty-pair fallback, which a
-//! *published* snapshot never exercises because swaps only publish
-//! repaired planes) — into one immutable value. An [`EpochCell`] holds
-//! the current snapshot behind `RwLock<Arc<_>>`: readers clone the
-//! `Arc` out (an uncontended read lock held for nanoseconds), the
-//! control plane swaps in a new `Arc` after repairing off-path.
+//! everything a lookup needs — the topology, its edge set and every
+//! class's compiled plane with its frozen repair overlay, all shared
+//! with the master rather than copied — into one immutable value. It
+//! consults no scheme: swaps only publish repaired planes. An
+//! [`EpochCell`] holds the current snapshot behind `RwLock<Arc<_>>`:
+//! readers clone the `Arc` out (an uncontended read lock held for
+//! nanoseconds), the control plane swaps in a new `Arc` after repairing
+//! off-path.
 //! In-flight queries keep the old epoch alive through their own `Arc`
 //! and finish against a consistent topology; new queries see the new
 //! epoch — nothing is dropped, and every answer carries the epoch it
