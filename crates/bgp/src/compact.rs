@@ -171,6 +171,11 @@ impl RoutingScheme for B1CompactScheme {
     fn header_bits(&self) -> u64 {
         self.inner.header_bits()
     }
+
+    /// As the provider-tree scheme underneath.
+    fn destination_labelled(&self) -> bool {
+        self.inner.destination_labelled()
+    }
 }
 
 /// The header of the Theorem 7 scheme: the target's SVFC plus its label
@@ -404,6 +409,12 @@ impl RoutingScheme for B2CompactScheme {
 
     fn header_bits(&self) -> u64 {
         (0..self.n).map(|v| self.label_bits(v)).max().unwrap_or(0)
+    }
+
+    /// The target's component and tree label are the header; no node
+    /// rewrites it.
+    fn destination_labelled(&self) -> bool {
+        true
     }
 }
 

@@ -5,19 +5,28 @@
 //! scheme is *interned* to a dense integer id and its forwarding decision
 //! is written, port already resolved to the neighbor it leads to, into
 //! the flat `u32` transition arrays of a [`StaticCore`] — the one stored
-//! form of the plane, which serving walks directly. A lookup is then two
-//! array loads instead of an evaluation of the scheme's local routing
-//! function — no allocation, no header cloning, no tree walking.
+//! form of the plane, which serving walks directly. A lookup is then an
+//! array load per hop (two where the scheme rewrites headers) instead of
+//! an evaluation of the scheme's local routing function — no allocation,
+//! no header cloning, no tree walking.
+//!
+//! There are two ways in, with one result. A destination-labelled scheme
+//! ([`RoutingScheme::destination_labelled`]) is *transcribed*: one
+//! `initial_header` and one `step` per `(node, target)`, in blocks of
+//! destinations. Every other scheme is *traced*: its walks are driven
+//! pair by pair, headers interned as they appear.
 //!
 //! The compiler is *honest* in the same sense as the rest of the
-//! workspace: every `(source, target)` pair is driven through the live
-//! [`step`](RoutingScheme::step) simulation during compilation, a packet
-//! that is misdelivered or loops aborts the compile with the underlying
-//! [`RouteError`], and the bit accounting of the plane
-//! ([`PlaneMemory`]) counts every transition at the width of its
-//! bit-packed encoding (`kind | port | next header`). That encoding is
-//! never stored: [`ForwardingPlane::memory`] computes its size and
-//! [`ForwardingPlane::digest`] streams it from the flat arrays.
+//! workspace: every `(source, target)` pair's route is checked against
+//! the live [`step`](RoutingScheme::step) simulation's rules during
+//! compilation — a packet that is misdelivered, names a bad port or runs
+//! out of hops aborts the compile with the underlying [`RouteError`], and
+//! a scheme that breaks its destination-labelled declaration aborts it
+//! too. The bit accounting of the plane ([`PlaneMemory`]) counts every
+//! transition at the width of its bit-packed encoding (`kind | port |
+//! next header`). That encoding is never stored: [`ForwardingPlane::memory`]
+//! computes its size and [`ForwardingPlane::digest`] streams it from the
+//! flat arrays.
 
 use std::fmt;
 use std::sync::Arc;
@@ -83,6 +92,44 @@ impl PackedArray {
             len,
             words: vec![0; words.max(1) + 1],
         }
+    }
+
+    /// The array of `len` values of `width` bits whose `i`-th value is
+    /// `f(i)`, packed in one sequential pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 64`; debug-panics if a value does not fit.
+    pub(crate) fn from_fn(len: usize, width: u32, mut f: impl FnMut(usize) -> u64) -> Self {
+        let mut a = PackedArray::new(len, width);
+        if width == 0 {
+            return a;
+        }
+        let (mut word, mut fill, mut at) = (0u64, 0u32, 0usize);
+        for i in 0..len {
+            let value = f(i);
+            debug_assert!(
+                value <= a.mask,
+                "value {value} does not fit in {width} bits"
+            );
+            word |= value << fill;
+            fill += width;
+            if fill >= 64 {
+                a.words[at] = word;
+                at += 1;
+                fill -= 64;
+                // The bits of `value` that did not fit in the last word.
+                word = if fill == 0 {
+                    0
+                } else {
+                    value >> (width - fill)
+                };
+            }
+        }
+        if fill > 0 {
+            a.words[at] = word;
+        }
+        a
     }
 
     fn mask(&self) -> u64 {
@@ -211,6 +258,19 @@ pub enum CompileError {
         /// Where the packet was actually delivered.
         delivered: NodeId,
     },
+    /// A scheme that declared itself destination-labelled
+    /// ([`RoutingScheme::destination_labelled`]) broke the declaration:
+    /// the header of `source → target` differs from the one the first
+    /// source attaches for `target` — rewritten by `step` at `at`, or
+    /// attached by `source` itself (`at == source`).
+    HeaderMismatch {
+        /// Source of the failing pair.
+        source: NodeId,
+        /// Target of the failing pair.
+        target: NodeId,
+        /// Where the header differs.
+        at: NodeId,
+    },
     /// An internal id space (headers, states, nodes) overflowed `u32`.
     CapacityExceeded {
         /// Which id space overflowed.
@@ -234,6 +294,10 @@ impl fmt::Display for CompileError {
                 target,
                 delivered,
             } => write!(f, "packet {source} → {target} delivered at {delivered}"),
+            CompileError::HeaderMismatch { source, target, at } => write!(
+                f,
+                "destination-labelled scheme: header of {source} → {target} differs at {at}"
+            ),
             CompileError::CapacityExceeded { what } => {
                 write!(f, "too many {what} for 32-bit interned ids")
             }
@@ -444,18 +508,33 @@ fn rec_key(node: NodeId, hid: u32) -> u64 {
 /// below `u32::MAX` before any shard runs).
 const NO_TARGET: u32 = u32::MAX;
 
+/// What the early-stop index knows of a committed state: the target it
+/// delivers at, and the hops its route takes to get there.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Committed {
+    target: u32,
+    hops: u32,
+}
+
+/// An empty slot of a dense [`DeliverRow`].
+const NOT_COMMITTED: Committed = Committed {
+    target: NO_TARGET,
+    hops: 0,
+};
+
 /// One header's row of the early-stop index.
 enum DeliverRow {
-    /// `(node, target)` pairs sorted by node — what a row is until it
+    /// `(node, committed)` pairs sorted by node — what a row is until it
     /// holds [`DeliverIndex::promote_at`] states.
-    Compact(Vec<(u32, u32)>),
-    /// One target per node, [`NO_TARGET`] where no state is committed.
-    Dense(Box<[u32]>),
+    Compact(Vec<(u32, Committed)>),
+    /// One slot per node, [`NOT_COMMITTED`] where no state is committed.
+    Dense(Box<[Committed]>),
 }
 
 /// The early-stop index of one compile shard: for every committed
 /// `(node, header id)` state, the target the state is known to deliver
-/// at — a walk that reaches a committed state stops there.
+/// at and the hops left to it — a walk that reaches a committed state
+/// stops there, and its route's full length is known.
 ///
 /// Rows are **header-major** and allocated per *seen* header: headers
 /// change rarely along a walk, so consecutive probes stay inside one
@@ -463,9 +542,9 @@ enum DeliverRow {
 /// (`SrcDestTable`: `n²` headers) pays for its states, never for
 /// `n · headers` slots. A row stays a sorted compact list until it
 /// holds a quarter of the nodes and only then becomes a dense
-/// `n`-entry array, so both forms cost at most 16 bytes per state
-/// (8-byte pairs at `Vec`'s ≤ 2× growth slack; `4n` bytes over ≥ `n/4`
-/// states) plus one row handle per header.
+/// `n`-entry array, so both forms cost at most 32 bytes per state
+/// (12-byte entries at `Vec`'s ≤ 2× growth slack; `8n` bytes over
+/// ≥ `n/4` states) plus one row handle per header.
 struct DeliverIndex {
     n: usize,
     /// Row occupancy at which compact becomes dense.
@@ -483,42 +562,61 @@ impl DeliverIndex {
         }
     }
 
-    /// The target state `(node, hid)` is known to deliver at.
+    /// What is known of state `(node, hid)`, if it is committed.
     #[inline]
-    fn get(&self, node: NodeId, hid: u32) -> Option<u32> {
+    fn get(&self, node: NodeId, hid: u32) -> Option<Committed> {
         match self.rows.get(hid as usize)? {
             DeliverRow::Compact(row) => row
                 .binary_search_by_key(&(node as u32), |&(at, _)| at)
                 .ok()
                 .map(|i| row[i].1),
-            DeliverRow::Dense(row) => Some(row[node]).filter(|&t| t != NO_TARGET),
+            DeliverRow::Dense(row) => Some(row[node]).filter(|c| c.target != NO_TARGET),
         }
     }
 
-    /// Records that state `(node, hid)` delivers at `target`.
-    fn insert(&mut self, node: NodeId, hid: u32, target: u32) {
+    /// Records that state `(node, hid)` is committed as `c`.
+    fn insert(&mut self, node: NodeId, hid: u32, c: Committed) {
         let hid = hid as usize;
         if hid >= self.rows.len() {
             self.rows
                 .resize_with(hid + 1, || DeliverRow::Compact(Vec::new()));
         }
         match &mut self.rows[hid] {
-            DeliverRow::Dense(row) => row[node] = target,
+            DeliverRow::Dense(row) => row[node] = c,
             DeliverRow::Compact(row) => {
                 match row.binary_search_by_key(&(node as u32), |&(at, _)| at) {
-                    Ok(i) => row[i].1 = target,
-                    Err(i) if row.len() < self.promote_at => row.insert(i, (node as u32, target)),
+                    Ok(i) => row[i].1 = c,
+                    Err(i) if row.len() < self.promote_at => row.insert(i, (node as u32, c)),
                     Err(_) => {
-                        let mut dense = vec![NO_TARGET; self.n].into_boxed_slice();
-                        for &(at, t) in row.iter() {
-                            dense[at as usize] = t;
+                        let mut dense = vec![NOT_COMMITTED; self.n].into_boxed_slice();
+                        for &(at, old) in row.iter() {
+                            dense[at as usize] = old;
                         }
-                        dense[node] = target;
+                        dense[node] = c;
                         self.rows[hid] = DeliverRow::Dense(dense);
                     }
                 }
             }
         }
+    }
+}
+
+/// The error of a pair whose route takes `hop_budget` hops or more,
+/// carrying the nodes [`cpr_routing::route`] reports it visiting.
+fn exhausted<S: RoutingScheme>(
+    scheme: &S,
+    graph: &Graph,
+    source: NodeId,
+    target: NodeId,
+) -> CompileError {
+    let visited = match cpr_routing::route(scheme, graph, source, target) {
+        Err(RouteError::HopBudgetExhausted { visited }) => visited,
+        _ => Vec::new(),
+    };
+    CompileError::Route {
+        source,
+        target,
+        error: RouteError::HopBudgetExhausted { visited },
     }
 }
 
@@ -568,8 +666,8 @@ fn trace_shard<S: RoutingScheme>(
     let n = graph.node_count();
     let mut intern: Interner<S::Header> = Interner::new();
     let mut trans = TransArena::default();
-    // Target a committed state is known to deliver at — lets later walks
-    // stop as soon as they join an already-verified path.
+    // Where each committed state delivers and in how many hops — lets
+    // later walks stop as soon as they join an already-verified path.
     let mut delivers_at = DeliverIndex::new(n);
     let mut initial = vec![u32::MAX; sources.len() * n];
     // Reused across pairs: the hot loop performs no per-pair allocation.
@@ -584,14 +682,22 @@ fn trace_shard<S: RoutingScheme>(
             initial[(source - sources.start) * n + target] = hid;
             let mut at = source;
             pending.clear();
-            let reached = loop {
-                if let Some(d) = delivers_at.get(at, hid) {
-                    break d as NodeId;
+            // Where the walk delivered, and the hops after its last
+            // pending state.
+            let (reached, tail) = loop {
+                if let Some(c) = delivers_at.get(at, hid) {
+                    // Joined a verified walk: the route is the pending
+                    // hops plus the rest of that walk, and must stay
+                    // under the budget as a whole.
+                    if pending.len() + c.hops as usize >= hop_budget {
+                        return Err(exhausted(scheme, graph, source, target));
+                    }
+                    break (c.target as NodeId, c.hops + 1);
                 }
                 match scheme.step(at, intern.header(hid)) {
                     RouteAction::Deliver => {
                         pending.push((rec_key(at, hid), REC_DELIVER));
-                        break at;
+                        break (at, 0);
                     }
                     RouteAction::Forward { port, header: next } => {
                         let Some((next_node, _)) = graph.neighbor_at(at, port) else {
@@ -608,17 +714,10 @@ fn trace_shard<S: RoutingScheme>(
                         ));
                         at = next_node;
                         hid = next_id;
-                        if pending.len() > hop_budget {
-                            let visited = pending
-                                .iter()
-                                .map(|&(key, _)| (key >> 32) as NodeId)
-                                .chain(std::iter::once(at))
-                                .collect();
-                            return Err(CompileError::Route {
-                                source,
-                                target,
-                                error: RouteError::HopBudgetExhausted { visited },
-                            });
+                        // The rule of `cpr_routing::route`: a route fails
+                        // once it has taken `hop_budget` hops.
+                        if pending.len() >= hop_budget {
+                            return Err(exhausted(scheme, graph, source, target));
                         }
                     }
                 }
@@ -630,8 +729,12 @@ fn trace_shard<S: RoutingScheme>(
                     delivered: reached,
                 });
             }
-            for &(key, val) in &pending {
-                delivers_at.insert((key >> 32) as NodeId, key as u32, target as u32);
+            for (i, &(key, val)) in pending.iter().enumerate() {
+                let c = Committed {
+                    target: target as u32,
+                    hops: (pending.len() - 1 - i) as u32 + tail,
+                };
+                delivers_at.insert((key >> 32) as NodeId, key as u32, c);
                 trans.push((key, val));
             }
         }
@@ -700,36 +803,57 @@ fn core_step(val: u64) -> (u32, u32) {
 
 /// Compiles `scheme` into a [`ForwardingPlane`] over `graph`.
 ///
-/// Every `(source, target)` pair with an initial header is traced through
-/// the live [`step`](RoutingScheme::step) simulation; transitions are
-/// committed only after the walk provably delivers at the correct
-/// target, and walks stop early when they reach an already-committed
-/// state, so the total work is proportional to the number of distinct
-/// states, not the sum of path lengths. The early-stop index is an
-/// array, not a hash table: one row per seen header mapping
-/// `node → delivery target`, probed by plain indexing once per state.
-/// A row is a short sorted list until a quarter of the nodes hold a
-/// state under its header and a dense `n`-entry array from then on, so
-/// the index stays at ≤ 16 bytes per state whether the scheme has `n`
-/// headers of `n` states (destination tables) or `n²` headers of a few
+/// A scheme that declares itself
+/// [destination-labelled](RoutingScheme::destination_labelled) is
+/// **transcribed**: its plane is one `next_node` row per destination
+/// header, so one `initial_header` and one `step` per `(node, target)`
+/// state fill it, without hashing a header per hop. The declaration is
+/// checked, never trusted — a header that differs by source or is
+/// rewritten by `step` fails with [`CompileError::HeaderMismatch`] — and
+/// the result is the plane the tracing compiler builds, byte for byte:
+/// the same states, header ids, widths, layout and initial table, so
+/// [`digest`](ForwardingPlane::digest) and
+/// [`memory`](ForwardingPlane::memory) do not tell the two apart.
+///
+/// Every other scheme is **traced**: each `(source, target)` pair with
+/// an initial header is driven through the live
+/// [`step`](RoutingScheme::step) simulation; transitions are committed
+/// only after the walk provably delivers at the correct target, and
+/// walks stop early when they reach an already-committed state, so the
+/// total work is proportional to the number of distinct states, not the
+/// sum of path lengths. The early-stop index is an array, not a hash
+/// table: one row per seen header mapping `node → (delivery target,
+/// hops left)`, probed by plain indexing once per state. A row is a
+/// short sorted list until a quarter of the nodes hold a state under
+/// its header and a dense `n`-entry array from then on, so the index
+/// stays at ≤ 32 bytes per state whether the scheme has `n` headers of
+/// `n` states (destination tables) or `n²` headers of a few
 /// (source–destination tables).
 ///
-/// Compilation is parallel across **contiguous source shards** on the
-/// [`cpr_core::par`] scoped-thread layer (`CPR_THREADS` workers): each
-/// shard traces its sources with shard-local header interning, and the
-/// shards are then merged *in source order* into the global intern
-/// table. The merge replays each shard's header discovery order, so the
-/// global id assignment — and therefore the plane, byte for byte —
-/// is identical for every thread count, including the exact
-/// serial walk at `CPR_THREADS=1`.
+/// Both paths are parallel on the [`cpr_core::par`] scoped-thread layer
+/// (`CPR_THREADS` workers). The tracer splits **contiguous source
+/// shards**, each with shard-local header interning, merged *in source
+/// order* into the global intern table; the merge replays each shard's
+/// header discovery order. The transcriber splits destination rows and
+/// numbers their headers by first routable `(source, target)` pair in
+/// row-major order — the order the tracer meets them in. Either way the
+/// plane is identical for every thread count, including the exact
+/// serial path at `CPR_THREADS=1`.
+///
+/// When every forward transition keeps its header id — any
+/// destination-labelled scheme, and header-constant tables such as
+/// `SwClassTable` — the plane stores no next-header array, and a hop is
+/// one load.
 ///
 /// # Errors
 ///
-/// Fails with the underlying [`RouteError`] if any traced pair
-/// misroutes, loops or names a bad port, and with
-/// [`CompileError::Misdelivery`] if a packet stops at the wrong node.
-/// The reported pair is the failing pair of the earliest shard, scanned
-/// in `(source, target)` order.
+/// Fails with the underlying [`RouteError`] if a pair names a bad port
+/// or its route takes `4n + 4` hops or more (the rule of
+/// [`cpr_routing::route`]), with [`CompileError::Misdelivery`] if a
+/// packet stops at the wrong node, and with
+/// [`CompileError::HeaderMismatch`] if a destination-labelled scheme
+/// breaks its declaration. The reported pair is the first failing one in
+/// `(source, target)` order, and its error is the first its route meets.
 pub fn compile<S: RoutingScheme + Sync>(
     scheme: &S,
     graph: &Graph,
@@ -754,6 +878,62 @@ where
     compile_with_intern(scheme, graph, threads).map(|(plane, _)| plane)
 }
 
+/// The widths of a plane's packed encoding (`entry = kind | port | next
+/// header`), and the layout they select.
+struct Encoding {
+    port_width: u32,
+    header_width: u32,
+    entry_width: u32,
+    dense: bool,
+}
+
+impl Encoding {
+    fn of(n: usize, max_degree: usize, headers: usize, states: usize) -> Self {
+        let port_width = ceil_log2(max_degree as u64);
+        let header_width = ceil_log2(headers as u64);
+        let entry_width = 2 + port_width + header_width;
+        // Dense is O(1) per lookup, sparse pays a binary search; prefer
+        // dense unless its packed encoding costs more than 2× the sparse
+        // one. The choice is made on packed bits — the accounted size —
+        // so layouts, widths and digests do not depend on how the core
+        // stores a slot.
+        let dense_bits = (n as u64) * (headers as u64) * u64::from(entry_width);
+        let sparse_bits =
+            states as u64 * u64::from(header_width + entry_width) + (n as u64 + 1) * 32;
+        Encoding {
+            port_width,
+            header_width,
+            entry_width,
+            dense: dense_bits <= sparse_bits.saturating_mul(2),
+        }
+    }
+}
+
+/// A compiled plane's contents, from either compile path: the headers
+/// in id order, the state count, the core's transitions and the initial
+/// table.
+struct Compiled<H> {
+    headers: Vec<H>,
+    states: usize,
+    layout: CoreLayout,
+    initial: PackedArray,
+}
+
+/// The graph's port-labelled adjacency as CSR: `nbr[row[v] + port]` is
+/// the neighbor behind `v`'s `port`.
+fn csr(graph: &Graph) -> (Vec<u32>, Vec<u32>) {
+    let mut row = Vec::with_capacity(graph.node_count() + 1);
+    let mut nbr = Vec::with_capacity(2 * graph.edge_count());
+    row.push(0u32);
+    for v in graph.nodes() {
+        for (u, _) in graph.neighbors(v) {
+            nbr.push(u as u32);
+        }
+        row.push(nbr.len() as u32);
+    }
+    (row, nbr)
+}
+
 /// [`compile_with_threads`], additionally returning the full header
 /// intern table in id order — the self-healing layer keeps it so
 /// `repair()` can extend the id space past the base plane's headers.
@@ -773,26 +953,83 @@ where
         });
     }
     // Node ids share the core's `next_node` slots with its sentinels.
-    if n >= CORE_INVALID as usize {
+    if n >= ROW_FAULT as usize {
         return Err(CompileError::CapacityExceeded { what: "nodes" });
     }
     let hop_budget = 4 * n + 4;
+    let (row, nbr) = csr(graph);
 
-    // Fan the source ranges out, then merge shard-local id spaces in
-    // source order. One shard (CPR_THREADS=1) is exactly the old serial
-    // compiler: the merge below is then an identity remap.
-    //
     // Per-shard wall-clock compile times go to the global tracer (set
     // `CPR_TRACE` to see them) — never to a registry, where wall clocks
     // would break the byte-determinism of pinned snapshots.
     let obs = cpr_obs::global();
+    let labelled = scheme.destination_labelled();
     let span = obs.span(
         "plane.compile",
         &[
             ("scheme", cpr_obs::Json::str(scheme.name())),
             ("nodes", cpr_obs::Json::int(n)),
+            ("transcribed", cpr_obs::Json::Bool(labelled)),
         ],
     );
+    let transcribed = if labelled {
+        transcribe(scheme, graph, (&row, &nbr), hop_budget, threads, &span)?
+    } else {
+        None
+    };
+    let compiled = match transcribed {
+        Some(compiled) => compiled,
+        None => trace(scheme, graph, hop_budget, threads, &span)?,
+    };
+
+    let headers = compiled.headers.len();
+    let states = compiled.states;
+    // Logical compile metrics: totals are thread-count-invariant and the
+    // same on both paths, so they are registry-safe.
+    obs.incr("plane.compile.planes");
+    obs.add("plane.compile.headers", headers as u64);
+    obs.add("plane.compile.states", states as u64);
+    let enc = Encoding::of(n, graph.max_degree(), headers, states);
+
+    Ok((
+        ForwardingPlane {
+            scheme: scheme.name(),
+            states,
+            port_width: enc.port_width,
+            header_width: enc.header_width,
+            entry_width: enc.entry_width,
+            core: StaticCore {
+                n,
+                headers,
+                hop_budget,
+                initial: Arc::new(compiled.initial),
+                layout: compiled.layout,
+            },
+            row: Arc::new(row),
+            nbr: Arc::new(nbr),
+            scheme_header_bits: scheme.header_bits(),
+            topology_digest: graph_digest(graph),
+        },
+        compiled.headers,
+    ))
+}
+
+/// The tracing compiler: every routable pair walked through the live
+/// scheme in source shards, merged in source order (see [`compile`]).
+fn trace<S: RoutingScheme + Sync>(
+    scheme: &S,
+    graph: &Graph,
+    hop_budget: usize,
+    threads: usize,
+    span: &cpr_obs::Span<'_>,
+) -> Result<Compiled<S::Header>, CompileError>
+where
+    S::Header: Send,
+{
+    let n = graph.node_count();
+    // Fan the source ranges out, then merge shard-local id spaces in
+    // source order. One shard (CPR_THREADS=1) is exactly the serial
+    // compiler: the merge below is then an identity remap.
     let shards = cpr_core::par::split_ranges_min_grain(n, threads, COMPILE_MIN_GRAIN);
     let traces = cpr_core::par::par_map_indexed_with(threads, shards.len(), |i| {
         let t0 = std::time::Instant::now();
@@ -866,34 +1103,37 @@ where
     if u32::try_from(states).is_err() {
         return Err(CompileError::CapacityExceeded { what: "states" });
     }
-    // Logical compile metrics: totals are thread-count-invariant (the
-    // shard merge is deterministic), so they are registry-safe.
-    obs.incr("plane.compile.planes");
-    obs.add("plane.compile.headers", headers as u64);
-    obs.add("plane.compile.states", states as u64);
-    let port_width = ceil_log2(graph.max_degree() as u64);
-    let header_width = ceil_log2(headers as u64);
-    let entry_width = 2 + port_width + header_width;
+    // A forward keeps its header when its next id is its own. Remaps are
+    // injective, so shard-local ids answer that as well as global ones.
+    let keeps = |&(key, val): &TransRec| {
+        val & 0xFFFF_FFFF == REC_DELIVER || val & 0xFFFF_FFFF == key & 0xFFFF_FFFF
+    };
+    let keeps_header = if sorted.is_empty() {
+        shard_trans.iter().all(|recs| recs.iter().all(keeps))
+    } else {
+        sorted.iter().all(keeps)
+    };
 
-    // Dense is O(1) per lookup, sparse pays a binary search; prefer dense
-    // unless its packed encoding costs more than 2× the sparse one. The
-    // choice is made on packed bits — the accounted size — so layouts,
-    // widths and digests do not depend on how the core stores a slot.
-    let dense_bits = (n as u64) * (headers as u64) * u64::from(entry_width);
-    let sparse_bits = states as u64 * u64::from(header_width + entry_width) + (n as u64 + 1) * 32;
-    let layout = if dense_bits <= sparse_bits.saturating_mul(2) {
+    let layout = if Encoding::of(n, graph.max_degree(), headers, states).dense {
         // Writes of duplicate states are idempotent (identical records),
         // so the shard streams pour straight into the table. The arrays
         // are allocated as the shared slices they stay, and written
         // while still unshared: nothing is copied afterwards.
         let slots = n * headers;
         let mut next_node: Arc<[u32]> = std::iter::repeat_n(CORE_INVALID, slots).collect();
-        let mut next_hid: Arc<[u32]> = std::iter::repeat_n(0, slots).collect();
+        let mut next_hid: Option<Arc<[u32]>> =
+            (!keeps_header).then(|| std::iter::repeat_n(0, slots).collect());
         let nodes = Arc::get_mut(&mut next_node).expect("a fresh slice is unshared");
-        let hids = Arc::get_mut(&mut next_hid).expect("a fresh slice is unshared");
+        let mut hids = next_hid
+            .as_mut()
+            .map(|h| Arc::get_mut(h).expect("a fresh slice is unshared"));
         let mut put = |(gkey, gval): TransRec| {
             let i = (gkey & 0xFFFF_FFFF) as usize * n + (gkey >> 32) as usize;
-            (nodes[i], hids[i]) = core_step(gval);
+            let (node, hid) = core_step(gval);
+            nodes[i] = node;
+            if let Some(hids) = hids.as_deref_mut() {
+                hids[i] = hid;
+            }
         };
         if sorted.is_empty() {
             for (remap, recs) in remaps.iter().zip(&shard_trans) {
@@ -925,7 +1165,8 @@ where
             offsets: offsets.into(),
             keys: sorted.iter().map(|&(gkey, _)| gkey as u32).collect(),
             next_node: sorted.iter().map(|&(_, gval)| core_step(gval).0).collect(),
-            next_hid: sorted.iter().map(|&(_, gval)| core_step(gval).1).collect(),
+            next_hid: (!keeps_header)
+                .then(|| sorted.iter().map(|&(_, gval)| core_step(gval).1).collect()),
         }
     };
     drop(sorted);
@@ -950,39 +1191,378 @@ where
             initial.set(base + i, g);
         }
     }
-    drop(shard_initial);
 
-    let mut row = Vec::with_capacity(n + 1);
-    let mut nbr = Vec::with_capacity(2 * graph.edge_count());
-    row.push(0u32);
-    for v in graph.nodes() {
-        for (u, _) in graph.neighbors(v) {
-            nbr.push(u as u32);
+    Ok(Compiled {
+        headers: intern.order,
+        states,
+        layout,
+        initial,
+    })
+}
+
+/// Transcription's mark for a state whose decision fails every route
+/// through it (a bad port or a rewritten header). It never outlives a
+/// failed transcription; node ids stay below it.
+const ROW_FAULT: u32 = u32::MAX - 2;
+
+/// Destinations transcribed together: one word of routability bits per
+/// source, and one pass over the sources for the whole block.
+const ROW_BLOCK: usize = 64;
+
+/// Why the route of a pair fails, as the transcription finds it.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    BadPort {
+        at: NodeId,
+        port: Port,
+    },
+    Misdelivery {
+        delivered: NodeId,
+    },
+    Exhausted,
+    /// The header differs from the destination's at `at`: rewritten by
+    /// `step` there, or attached by source `at`.
+    HeaderMismatch {
+        at: NodeId,
+    },
+}
+
+/// One destination row of a transcription: its header, and the first
+/// source attaching it.
+type RowHeader<H> = Option<(H, NodeId)>;
+
+/// What one block of destinations transcribed to.
+struct RowBlock<H> {
+    /// Per destination of the block.
+    headers: Vec<RowHeader<H>>,
+    /// Per source: bit `j` set when it routes to the block's `j`-th
+    /// destination.
+    routable: Vec<u64>,
+    states: usize,
+    /// The block's first failing pair in `(source, target)` order.
+    fault: Option<(NodeId, NodeId, Fault)>,
+}
+
+/// A state's hops to the end of its route: not yet known.
+const DEPTH_UNSET: u32 = u32::MAX;
+/// A state's hops to the end of its route: on the path being resolved.
+const DEPTH_ON_PATH: u32 = u32::MAX - 1;
+/// A state's hops to the end of its route: none, it never ends (a
+/// forwarding loop).
+const DEPTH_LOOP: u32 = u32::MAX - 2;
+
+/// The decision of state `(v, h)` as a `next_node` slot: the neighbor
+/// behind the port, [`CORE_DELIVER`], or [`ROW_FAULT`] with the fault
+/// pushed to `faults` under row `j`.
+fn decide<S: RoutingScheme>(
+    scheme: &S,
+    (row, nbr): (&[u32], &[u32]),
+    v: NodeId,
+    h: &S::Header,
+    j: usize,
+    faults: &mut Vec<(usize, NodeId, Fault)>,
+) -> u32 {
+    let fault = match scheme.step(v, h) {
+        RouteAction::Deliver => return CORE_DELIVER,
+        RouteAction::Forward { header, .. } if header != *h => Fault::HeaderMismatch { at: v },
+        RouteAction::Forward { port, .. } => {
+            let (lo, hi) = (row[v] as usize, row[v + 1] as usize);
+            if port < hi - lo {
+                return nbr[lo + port];
+            }
+            Fault::BadPort { at: v, port }
         }
-        row.push(nbr.len() as u32);
+    };
+    faults.push((j, v, fault));
+    ROW_FAULT
+}
+
+/// Transcribes the destinations `targets` into `rows` (`targets.len()`
+/// rows of `n` slots): slot `v` of row `t` becomes the next node (or
+/// [`CORE_DELIVER`]) of state `(v, h_t)` for every state a route to `t`
+/// reaches — every routable source, and the nodes without an initial
+/// header of their own its route passes — exactly the states the tracer
+/// commits; every other slot `CORE_INVALID`.
+///
+/// Sources are the outer loop, so a scheme's per-node state is read once
+/// for the whole block; the sources' own decisions land source-major in a
+/// block-local table. Each row is then gathered into its slots and
+/// checked by one memoized pass over its routes: every route must
+/// deliver at `t` in fewer than `hop_budget` hops without a fault.
+fn transcribe_block<S: RoutingScheme>(
+    scheme: &S,
+    csr: (&[u32], &[u32]),
+    targets: std::ops::Range<usize>,
+    hop_budget: usize,
+    rows: &mut [u32],
+) -> RowBlock<S::Header> {
+    let n = csr.0.len() - 1;
+    let k = targets.len();
+    let mut headers: Vec<RowHeader<S::Header>> = (0..k).map(|_| None).collect();
+    // The first source attaching a different header, per row: no later
+    // source can be the row's first failure.
+    let mut limit = vec![n; k];
+    let mut routable = vec![0u64; n];
+    let mut faults = Vec::new();
+    let mut states = 0usize;
+    // `decided[s * k + j]`: the decision of source `s`'s own state in
+    // row `j`.
+    let mut decided = vec![CORE_INVALID; n * k];
+    for s in 0..n {
+        let mut word = 0u64;
+        for (j, t) in targets.clone().enumerate() {
+            if s >= limit[j] {
+                continue;
+            }
+            let Some(h) = scheme.initial_header(s, t) else {
+                continue;
+            };
+            word |= 1 << j;
+            let h = match &headers[j] {
+                None => &headers[j].insert((h, s)).0,
+                Some((h0, _)) if *h0 != h => {
+                    limit[j] = s;
+                    continue;
+                }
+                Some((h0, _)) => h0,
+            };
+            decided[s * k + j] = decide(scheme, csr, s, h, j, &mut faults);
+            states += 1;
+        }
+        routable[s] = word;
     }
 
-    Ok((
-        ForwardingPlane {
-            scheme: scheme.name(),
-            states,
-            port_width,
-            header_width,
-            entry_width,
-            core: StaticCore {
-                n,
-                headers,
-                hop_budget,
-                initial: Arc::new(initial),
-                layout,
+    // Routes: the hops from each state to where its route ends, one
+    // memoized pass per row, loops included, over the row gathered into
+    // its final slots. States off every source's own slot are decided as
+    // a route first reaches them.
+    let mut depth = vec![DEPTH_UNSET; n];
+    let mut end = vec![0u32; n];
+    let mut path = Vec::new();
+    let mut fault = None;
+    for ((j, t), next) in targets.clone().enumerate().zip(rows.chunks_mut(n.max(1))) {
+        for (v, slot) in next.iter_mut().enumerate() {
+            *slot = decided[v * k + j];
+        }
+        let Some((h, _)) = &headers[j] else {
+            continue;
+        };
+        depth.fill(DEPTH_UNSET);
+        let mut row_fault = Some(limit[j])
+            .filter(|&m| m < n)
+            .map(|m| (m, Fault::HeaderMismatch { at: m }));
+        for s in (0..limit[j]).filter(|&s| routable[s] & (1 << j) != 0) {
+            let mut v = s;
+            path.clear();
+            let (mut d, e) = loop {
+                match depth[v] {
+                    DEPTH_UNSET => {}
+                    DEPTH_ON_PATH => break (DEPTH_LOOP, v as u32),
+                    known => break (known, end[v]),
+                }
+                if next[v] == CORE_INVALID {
+                    next[v] = decide(scheme, csr, v, h, j, &mut faults);
+                    states += 1;
+                }
+                if next[v] == CORE_DELIVER || next[v] == ROW_FAULT {
+                    depth[v] = 0;
+                    end[v] = v as u32;
+                    break (0, v as u32);
+                }
+                depth[v] = DEPTH_ON_PATH;
+                path.push(v);
+                v = next[v] as NodeId;
+            };
+            while let Some(w) = path.pop() {
+                d = if d >= DEPTH_LOOP { DEPTH_LOOP } else { d + 1 };
+                depth[w] = d;
+                end[w] = e;
+            }
+            let e = end[s] as NodeId;
+            let failed = if depth[s] as usize >= hop_budget {
+                Some(Fault::Exhausted)
+            } else if next[e] == ROW_FAULT {
+                faults
+                    .iter()
+                    .find(|&&(row, at, _)| row == j && at == e)
+                    .map(|&(_, _, f)| f)
+            } else if e != t {
+                Some(Fault::Misdelivery { delivered: e })
+            } else {
+                None
+            };
+            if let Some(f) = failed {
+                row_fault = Some((s, f));
+                break;
+            }
+        }
+        if let Some((s, f)) = row_fault {
+            if fault.is_none_or(|(s0, _, _)| s < s0) {
+                fault = Some((s, t, f));
+            }
+        }
+    }
+    RowBlock {
+        headers,
+        routable,
+        states,
+        fault,
+    }
+}
+
+/// The transcribing compiler for destination-labelled schemes (see
+/// [`compile`]). `None` when two destinations share a header — a plane
+/// the tracer builds, which one row per destination cannot hold.
+fn transcribe<S: RoutingScheme + Sync>(
+    scheme: &S,
+    graph: &Graph,
+    csr: (&[u32], &[u32]),
+    hop_budget: usize,
+    threads: usize,
+    span: &cpr_obs::Span<'_>,
+) -> Result<Option<Compiled<S::Header>>, CompileError>
+where
+    S::Header: Send,
+{
+    let n = graph.node_count();
+    // Destination rows, `t · n + v`, written in place by the blocks.
+    let mut rows: Arc<[u32]> = std::iter::repeat_n(0, n * n).collect();
+    let blocks: Vec<std::ops::Range<usize>> = (0..n)
+        .step_by(ROW_BLOCK)
+        .map(|lo| lo..(lo + ROW_BLOCK).min(n))
+        .collect();
+    let outs = {
+        let slots = Arc::get_mut(&mut rows).expect("a fresh slice is unshared");
+        let parts: Vec<_> = slots
+            .chunks_mut(ROW_BLOCK * n.max(1))
+            .map(|part| std::sync::Mutex::new(Some(part)))
+            .collect();
+        cpr_core::par::par_map_indexed_with(threads, blocks.len(), |i| {
+            let t0 = std::time::Instant::now();
+            let part = parts[i]
+                .lock()
+                .ok()
+                .and_then(|mut p| p.take())
+                .expect("each block's rows are taken once");
+            let out = transcribe_block(scheme, csr, blocks[i].clone(), hop_budget, part);
+            span.event(
+                "plane.compile.block",
+                &[
+                    ("block", cpr_obs::Json::int(i)),
+                    ("targets", cpr_obs::Json::int(blocks[i].len())),
+                    ("micros", cpr_obs::Json::int(t0.elapsed().as_micros())),
+                ],
+            );
+            out
+        })
+    };
+
+    // The first failing pair in `(source, target)` order.
+    let first = outs
+        .iter()
+        .filter_map(|o| o.fault)
+        .min_by_key(|&(s, t, _)| (s, t));
+    if let Some((source, target, fault)) = first {
+        return Err(match fault {
+            Fault::BadPort { at, port } => CompileError::Route {
+                source,
+                target,
+                error: RouteError::BadPort { at, port },
             },
-            row: Arc::new(row),
-            nbr: Arc::new(nbr),
-            scheme_header_bits: scheme.header_bits(),
-            topology_digest: graph_digest(graph),
-        },
-        intern.order,
-    ))
+            Fault::Misdelivery { delivered } => CompileError::Misdelivery {
+                source,
+                target,
+                delivered,
+            },
+            Fault::Exhausted => exhausted(scheme, graph, source, target),
+            Fault::HeaderMismatch { at } => CompileError::HeaderMismatch { source, target, at },
+        });
+    }
+
+    // Header ids in the tracer's order: by first routable pair, row-major.
+    let states: usize = outs.iter().map(|o| o.states).sum();
+    if u32::try_from(states).is_err() {
+        return Err(CompileError::CapacityExceeded { what: "states" });
+    }
+    let mut routable = Vec::with_capacity(outs.len());
+    let mut row_headers = Vec::with_capacity(n);
+    for out in outs {
+        routable.push(out.routable);
+        row_headers.extend(out.headers);
+    }
+    let mut order: Vec<(NodeId, NodeId)> = row_headers
+        .iter()
+        .enumerate()
+        .filter_map(|(t, h)| h.as_ref().map(|&(_, first)| (first, t)))
+        .collect();
+    order.sort_unstable();
+    let mut intern: Interner<S::Header> = Interner::new();
+    let mut hid_of = vec![u32::MAX; n];
+    for &(_, t) in &order {
+        let (h, _) = row_headers[t].take().expect("ordered rows hold a header");
+        let hid = intern.intern(h)?;
+        if hid as usize != intern.len() - 1 {
+            span.event("plane.compile.shared_header", &[]);
+            return Ok(None);
+        }
+        hid_of[t] = hid;
+    }
+    let headers = intern.len();
+
+    let layout = if Encoding::of(n, graph.max_degree(), headers, states).dense {
+        // Rows already in id order (every destination routable from the
+        // first source onward) are the table itself.
+        let in_place = headers == n && hid_of.iter().enumerate().all(|(t, &h)| h as usize == t);
+        let next_node = if in_place {
+            rows
+        } else {
+            order
+                .iter()
+                .flat_map(|&(_, t)| rows[t * n..(t + 1) * n].iter().copied())
+                .collect()
+        };
+        CoreLayout::Dense {
+            next_node,
+            next_hid: None,
+        }
+    } else {
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut keys = Vec::with_capacity(states);
+        let mut next_node = Vec::with_capacity(states);
+        offsets.push(0u32);
+        for v in 0..n {
+            for (hid, &(_, t)) in order.iter().enumerate() {
+                let to = rows[t * n + v];
+                if to != CORE_INVALID {
+                    keys.push(hid as u32);
+                    next_node.push(to);
+                }
+            }
+            offsets.push(keys.len() as u32);
+        }
+        CoreLayout::Sparse {
+            offsets: offsets.into(),
+            keys: keys.into(),
+            next_node: next_node.into(),
+            next_hid: None,
+        }
+    };
+
+    let initial = PackedArray::from_fn(n * n, ceil_log2(headers as u64 + 1), |i| {
+        let (s, t) = (i / n, i % n);
+        if routable[t / ROW_BLOCK][s] & (1 << (t % ROW_BLOCK)) != 0 {
+            u64::from(hid_of[t])
+        } else {
+            headers as u64
+        }
+    });
+
+    Ok(Some(Compiled {
+        headers: intern.order,
+        states,
+        layout,
+        initial,
+    }))
 }
 
 impl ForwardingPlane {
@@ -1097,7 +1677,9 @@ impl ForwardingPlane {
             } => {
                 h.word(0);
                 h.array_header(next_node.len(), self.entry_width);
-                for (i, (&nn, &nh)) in next_node.iter().zip(next_hid.iter()).enumerate() {
+                for (i, &nn) in next_node.iter().enumerate() {
+                    // A plane without `next_hid` keeps the row's id.
+                    let nh = next_hid.as_ref().map_or((i / n) as u32, |h| h[i]);
                     h.word(self.packed_entry(i % n, nn, nh));
                 }
             }
@@ -1118,7 +1700,9 @@ impl ForwardingPlane {
                 h.array_header(keys.len(), self.entry_width);
                 for node in 0..n {
                     for i in offsets[node] as usize..offsets[node + 1] as usize {
-                        h.word(self.packed_entry(node, next_node[i], next_hid[i]));
+                        // A plane without `next_hid` keeps the key's id.
+                        let nh = next_hid.as_ref().map_or(keys[i], |h| h[i]);
+                        h.word(self.packed_entry(node, next_node[i], nh));
                     }
                 }
             }
@@ -1346,8 +1930,12 @@ mod tests {
             for _ in 0..6 * n {
                 let hid = rng.gen_range(0..4u32).min(rng.gen_range(0..4));
                 let (node, target) = (rng.gen_range(0..n), rng.gen_range(0..n) as u32);
-                index.insert(node, hid, target);
-                reference.insert((node, hid), target);
+                let c = Committed {
+                    target,
+                    hops: rng.gen_range(0..4 * n as u32),
+                };
+                index.insert(node, hid, c);
+                reference.insert((node, hid), c);
             }
             for hid in 0..6u32 {
                 for node in 0..n {
@@ -1401,6 +1989,10 @@ mod tests {
                 );
             }
             assert_eq!(a.bits(), 100 * u64::from(width));
+            let b = PackedArray::from_fn(100, width, |i| {
+                (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask
+            });
+            assert_eq!(a, b, "width {width}: packed in one pass");
         }
     }
 
@@ -1514,6 +2106,160 @@ mod tests {
                 graph: 5
             }
         );
+    }
+
+    /// A countdown walker on the 3-cycle: the header counts the hops
+    /// left, the packet is delivered where it runs out, and `hops[s][t]`
+    /// sets each pair's count (the direct clockwise distance unless set).
+    struct Countdown {
+        clockwise: Vec<Port>,
+        hops: Vec<Vec<u32>>,
+    }
+
+    impl Countdown {
+        fn on(g: &Graph) -> Self {
+            let clockwise = (0..3)
+                .map(|v| {
+                    (0..2)
+                        .find(|&p| g.neighbor_at(v, p).map(|(u, _)| u) == Some((v + 1) % 3))
+                        .unwrap()
+                })
+                .collect();
+            let hops = (0..3)
+                .map(|s| (0..3).map(|t| ((t + 3 - s) % 3) as u32).collect())
+                .collect();
+            Countdown { clockwise, hops }
+        }
+    }
+
+    impl RoutingScheme for Countdown {
+        type Header = u32;
+
+        fn name(&self) -> String {
+            "countdown".into()
+        }
+
+        fn node_count(&self) -> usize {
+            3
+        }
+
+        fn initial_header(&self, s: NodeId, t: NodeId) -> Option<u32> {
+            Some(self.hops[s][t])
+        }
+
+        fn step(&self, at: NodeId, &left: &u32) -> RouteAction<u32> {
+            match left {
+                0 => RouteAction::Deliver,
+                _ => RouteAction::Forward {
+                    port: self.clockwise[at],
+                    header: left - 1,
+                },
+            }
+        }
+
+        fn local_memory_bits(&self, _: NodeId) -> u64 {
+            1
+        }
+
+        fn label_bits(&self, _: NodeId) -> u64 {
+            2
+        }
+
+        fn header_bits(&self) -> u64 {
+            5
+        }
+    }
+
+    /// Asserts that compiling `scheme` fails `source → target` out of
+    /// hops, as `route` does.
+    fn assert_out_of_hops(scheme: &Countdown, g: &Graph, source: NodeId, target: NodeId) {
+        let routed = cpr_routing::route(scheme, g, source, target).unwrap_err();
+        for threads in [1, 2] {
+            assert_eq!(
+                compile_with_threads(scheme, g, threads).unwrap_err(),
+                CompileError::Route {
+                    source,
+                    target,
+                    error: routed.clone(),
+                }
+            );
+        }
+        assert!(
+            matches!(routed, RouteError::HopBudgetExhausted { visited } if visited.len() == 17)
+        );
+    }
+
+    #[test]
+    fn a_route_of_exactly_the_hop_budget_fails_to_compile() {
+        let g = generators::cycle(3);
+        let mut scheme = Countdown::on(&g);
+        // The budget at n = 3 is 16 hops: 15 compile, 16 do not.
+        scheme.hops[0][0] = 15;
+        let plane = compile(&scheme, &g).unwrap();
+        assert_eq!(plane.hop_budget(), 16);
+        assert_eq!(plane.walk(0, 0).unwrap().len(), 16);
+        validate(&plane, &scheme, &g).unwrap();
+        scheme.hops[0][1] = 16;
+        assert_out_of_hops(&scheme, &g, 0, 1);
+    }
+
+    #[test]
+    fn a_walk_joining_a_committed_one_is_held_to_the_whole_routes_budget() {
+        let g = generators::cycle(3);
+        let mut scheme = Countdown::on(&g);
+        // (0, 2) commits 14 hops; (1, 2) joins them at (0, 14) after 2.
+        scheme.hops[0][2] = 14;
+        scheme.hops[1][2] = 13;
+        let plane = compile(&scheme, &g).unwrap();
+        assert_eq!(plane.walk(1, 2).unwrap().len(), 14);
+        validate(&plane, &scheme, &g).unwrap();
+        scheme.hops[1][2] = 16;
+        assert_out_of_hops(&scheme, &g, 1, 2);
+    }
+
+    /// Whether the plane stores a next-header array.
+    fn stores_next_hid(plane: &ForwardingPlane) -> bool {
+        match &plane.core.layout {
+            CoreLayout::Dense { next_hid, .. } | CoreLayout::Sparse { next_hid, .. } => {
+                next_hid.is_some()
+            }
+        }
+    }
+
+    #[test]
+    fn only_planes_that_rewrite_headers_store_next_header_ids() {
+        use cpr_algebra::policies::Capacity;
+        use cpr_routing::SwClassTable;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let g = generators::barabasi_albert(48, 2, &mut rng);
+        let dest = compile(
+            &DestTable::build(&g, &EdgeWeights::uniform(&g, 1u64), &ShortestPath),
+            &g,
+        )
+        .unwrap();
+        assert_eq!(dest.memory().layout, "dense");
+        assert!(!stores_next_hid(&dest));
+
+        let w = EdgeWeights::from_fn(&g, |e| {
+            (
+                Capacity::new([10, 40, 100, 400][e % 4]).unwrap(),
+                (e as u64 % 7) + 1,
+            )
+        });
+        let sw = SwClassTable::build(&g, &w);
+        assert!(!sw.destination_labelled());
+        let sw = compile(&sw, &g).unwrap();
+        assert_eq!(sw.memory().layout, "sparse");
+        assert!(!stores_next_hid(&sw));
+
+        let asg = cpr_bgp::internet_like(40, 2, 6, &mut rng);
+        let bgp = cpr_bgp::BgpStateTable::build(&asg, &cpr_bgp::ValleyFree);
+        let bgp_plane = compile(&bgp, asg.graph()).unwrap();
+        assert!(stores_next_hid(&bgp_plane));
+        validate(&bgp_plane, &bgp, asg.graph()).unwrap();
+
+        let g = generators::cycle(3);
+        assert!(stores_next_hid(&compile(&Countdown::on(&g), &g).unwrap()));
     }
 
     #[test]

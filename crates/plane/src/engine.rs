@@ -56,8 +56,11 @@ pub struct LookupCore<'p> {
 /// Transition storage of a compiled plane: parallel `u32` arrays
 /// (struct-of-arrays). `next_node[i]` holds the pre-resolved neighbor id
 /// of transition slot `i` (or a deliver/invalid sentinel) and
-/// `next_hid[i]` the rewritten header id — one hop is two loads from flat
-/// arrays, no bit-field decode, no CSR indirection.
+/// `next_hid[i]` the rewritten header id — no bit-field decode, no CSR
+/// indirection. A plane whose every forward keeps its header id
+/// (destination tables, tree schemes, Cowen, `SwClassTable`) stores no
+/// `next_hid` at all: the next id is the slot's own, and one hop is one
+/// load.
 ///
 /// Each array is its own `Arc<[u32]>`, so clones share the arrays while
 /// their pointers stay inline in the owning core: a walk finds them
@@ -71,7 +74,8 @@ pub(crate) enum CoreLayout {
     /// touch one `n`-entry row, not scattered columns.
     Dense {
         next_node: Arc<[u32]>,
-        next_hid: Arc<[u32]>,
+        /// `None` when every forward keeps its header id.
+        next_hid: Option<Arc<[u32]>>,
     },
     /// CSR runs per node, keys sorted for binary search: for schemes whose
     /// header space is far larger than the states actually reached.
@@ -79,7 +83,8 @@ pub(crate) enum CoreLayout {
         offsets: Arc<[u32]>,
         keys: Arc<[u32]>,
         next_node: Arc<[u32]>,
-        next_hid: Arc<[u32]>,
+        /// `None` when every forward keeps its header id.
+        next_hid: Option<Arc<[u32]>>,
     },
 }
 
@@ -164,7 +169,7 @@ impl StaticCore {
                 next_hid,
             } => {
                 let i = (hid as usize) * self.n + at as usize;
-                (next_node[i], next_hid[i])
+                (next_node[i], next_hid.as_ref().map_or(hid, |h| h[i]))
             }
             CoreLayout::Sparse {
                 offsets,
@@ -175,7 +180,10 @@ impl StaticCore {
                 let lo = offsets[at as usize] as usize;
                 let hi = offsets[at as usize + 1] as usize;
                 match keys[lo..hi].binary_search(&hid) {
-                    Ok(k) => (next_node[lo + k], next_hid[lo + k]),
+                    Ok(k) => (
+                        next_node[lo + k],
+                        next_hid.as_ref().map_or(hid, |h| h[lo + k]),
+                    ),
                     Err(_) => (CORE_INVALID, 0),
                 }
             }

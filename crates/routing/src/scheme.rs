@@ -52,6 +52,15 @@ pub enum RouteError {
         /// Target of the attempted route.
         target: NodeId,
     },
+    /// The scheme delivered the packet at a node other than its target.
+    Misdelivered {
+        /// Source of the attempted route.
+        source: NodeId,
+        /// Target of the attempted route.
+        target: NodeId,
+        /// Where the packet was delivered.
+        delivered: NodeId,
+    },
 }
 
 impl fmt::Display for RouteError {
@@ -72,6 +81,11 @@ impl fmt::Display for RouteError {
                     "{source} → {target} awaits repair after a topology change"
                 )
             }
+            RouteError::Misdelivered {
+                source,
+                target,
+                delivered,
+            } => write!(f, "packet {source} → {target} delivered at {delivered}"),
         }
     }
 }
@@ -124,6 +138,20 @@ pub trait RoutingScheme {
 
     /// Maximum header size in bits.
     fn header_bits(&self) -> u64;
+
+    /// Whether the scheme is *destination-labelled*: every source that
+    /// routes to `target` attaches one and the same header, a function of
+    /// `target` alone, and [`step`](Self::step) never rewrites it. The
+    /// paper's destination tables (Obs. 1), tree schemes (Thm 1, Lemma 1),
+    /// interval routing and Cowen's stretch-3 scheme (Thm 3) all are.
+    ///
+    /// A forwarding-plane compiler may then transcribe the scheme, one
+    /// decision per `(node, target)`, instead of tracing every header
+    /// state. The declaration is a promise the compiler checks, never
+    /// trusts. The default is `false`.
+    fn destination_labelled(&self) -> bool {
+        false
+    }
 }
 
 /// Statistics of a scheme's memory footprint across all nodes.
@@ -200,8 +228,9 @@ impl fmt::Display for MemoryReport {
 ///
 /// # Errors
 ///
-/// Returns a [`RouteError`] if the scheme misroutes (bad port, loop) or
-/// declares the pair unroutable.
+/// Returns a [`RouteError`] if the scheme misroutes (bad port, loop,
+/// delivery at a node other than `target`) or declares the pair
+/// unroutable.
 pub fn route<S: RoutingScheme>(
     scheme: &S,
     graph: &Graph,
@@ -223,7 +252,14 @@ pub fn route<S: RoutingScheme>(
     visited.push(source);
     loop {
         match scheme.step(at, &header) {
-            RouteAction::Deliver => return Ok(visited),
+            RouteAction::Deliver if at == target => return Ok(visited),
+            RouteAction::Deliver => {
+                return Err(RouteError::Misdelivered {
+                    source,
+                    target,
+                    delivered: at,
+                })
+            }
             RouteAction::Forward { port, header: h } => {
                 let (next, _) = graph
                     .neighbor_at(at, port)
@@ -342,6 +378,49 @@ mod tests {
         }
         let err = route(&BadPort, &g, 0, 1).unwrap_err();
         assert_eq!(err, RouteError::BadPort { at: 0, port: 7 },);
+    }
+
+    #[test]
+    fn simulator_refuses_a_delivery_off_target() {
+        /// Delivers wherever the packet stands.
+        struct DeliversAtOnce;
+        impl RoutingScheme for DeliversAtOnce {
+            type Header = ();
+            fn name(&self) -> String {
+                "delivers-at-once".into()
+            }
+            fn node_count(&self) -> usize {
+                3
+            }
+            fn initial_header(&self, _: NodeId, _: NodeId) -> Option<()> {
+                Some(())
+            }
+            fn step(&self, _: NodeId, _: &()) -> RouteAction<()> {
+                RouteAction::Deliver
+            }
+            fn local_memory_bits(&self, _: NodeId) -> u64 {
+                0
+            }
+            fn label_bits(&self, _: NodeId) -> u64 {
+                1
+            }
+            fn header_bits(&self) -> u64 {
+                0
+            }
+        }
+        let g = cpr_graph::generators::path(3);
+        assert_eq!(route(&DeliversAtOnce, &g, 1, 1).unwrap(), vec![1]);
+        let err = route(&DeliversAtOnce, &g, 0, 2).unwrap_err();
+        assert_eq!(
+            err,
+            RouteError::Misdelivered {
+                source: 0,
+                target: 2,
+                delivered: 0
+            }
+        );
+        assert!(err.to_string().contains("delivered at 0"));
+        assert!(!DeliversAtOnce.destination_labelled());
     }
 
     #[test]

@@ -287,6 +287,11 @@ impl RoutingScheme for CowenScheme {
     fn header_bits(&self) -> u64 {
         (0..self.n).map(|v| self.label_bits(v)).max().unwrap_or(0)
     }
+
+    /// The target's label is the header; no node rewrites it.
+    fn destination_labelled(&self) -> bool {
+        true
+    }
 }
 
 /// Default cluster-size target: `2·√(n ln n)`, the knee of the

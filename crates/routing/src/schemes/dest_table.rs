@@ -287,6 +287,11 @@ impl RoutingScheme for DestTable {
     fn header_bits(&self) -> u64 {
         node_id_bits(self.n)
     }
+
+    /// The target id is the header; no node rewrites it.
+    fn destination_labelled(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -139,6 +139,11 @@ impl RoutingScheme for IntervalTreeRouting {
     fn header_bits(&self) -> u64 {
         node_id_bits(self.tree.len())
     }
+
+    /// The target's DFS number is the header; no node rewrites it.
+    fn destination_labelled(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

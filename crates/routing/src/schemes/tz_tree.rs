@@ -181,6 +181,11 @@ impl RoutingScheme for TzTreeRouting {
             .max()
             .unwrap_or(0)
     }
+
+    /// The target's label is the header; no node rewrites it.
+    fn destination_labelled(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

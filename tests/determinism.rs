@@ -4,8 +4,9 @@
 //! *byte-identical* results at every worker count: `CPR_THREADS=1` is the
 //! exact serial code path and every other count must reproduce it. This
 //! suite pins that contract for the three parallel consumers —
-//! [`AllPairs`], plane compilation, and the workload generators — under
-//! `CPR_THREADS ∈ {1, 2, 8}` and across repeated runs.
+//! [`AllPairs`], plane compilation (both its transcribing and its tracing
+//! path), and the workload generators — under `CPR_THREADS ∈ {1, 2, 8}`
+//! and across repeated runs.
 //!
 //! Tests that read `CPR_THREADS` serialize behind one mutex: the variable
 //! is process-global and Rust runs tests on concurrent threads.
@@ -13,10 +14,12 @@
 use std::sync::Mutex;
 
 use cpr_algebra::policies::ShortestPath;
-use cpr_graph::{generators, EdgeWeights};
+use cpr_graph::{generators, EdgeWeights, Graph, NodeId};
 use cpr_paths::AllPairs;
 use cpr_plane::{compile, compile_with_threads, validate, TrafficPattern};
-use cpr_routing::{CowenScheme, DestTable, LandmarkStrategy};
+use cpr_routing::{
+    CowenScheme, DestTable, IntervalTreeRouting, LandmarkStrategy, RouteAction, RoutingScheme,
+};
 use rand::SeedableRng;
 
 /// The thread counts the contract is pinned at (serial, small, more
@@ -106,6 +109,85 @@ fn compiled_planes_are_identical_for_every_thread_count() {
             // The parallel validator must accept what the parallel
             // compiler produced, at the same worker count.
             with_threads(threads, || validate(&dest_plane, &dest, &g).unwrap());
+        }
+    }
+}
+
+/// A scheme compiled the traced way: it keeps the default
+/// (not destination-labelled) declaration.
+struct Traced<'a, S>(&'a S);
+
+impl<S: RoutingScheme> RoutingScheme for Traced<'_, S> {
+    type Header = S::Header;
+
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn node_count(&self) -> usize {
+        self.0.node_count()
+    }
+
+    fn initial_header(&self, source: NodeId, target: NodeId) -> Option<S::Header> {
+        self.0.initial_header(source, target)
+    }
+
+    fn step(&self, at: NodeId, header: &S::Header) -> RouteAction<S::Header> {
+        self.0.step(at, header)
+    }
+
+    fn local_memory_bits(&self, v: NodeId) -> u64 {
+        self.0.local_memory_bits(v)
+    }
+
+    fn label_bits(&self, v: NodeId) -> u64 {
+        self.0.label_bits(v)
+    }
+
+    fn header_bits(&self) -> u64 {
+        self.0.header_bits()
+    }
+}
+
+#[test]
+fn transcribed_planes_equal_the_traced_ones_for_every_thread_count() {
+    // Destination-labelled schemes compile by transcription in blocks of
+    // destinations; the traced compile of the same scheme, serial, is the
+    // reference. Two components on interleaved ids put header ids out of
+    // target order.
+    let g = generators::barabasi_albert(150, 2, &mut rng(51));
+    let w = EdgeWeights::random(&g, &ShortestPath, &mut rng(52));
+    let split = Graph::from_edges(
+        150,
+        g.edges()
+            .filter(|&(_, (u, v))| u % 2 == v % 2)
+            .map(|(_, e)| e)
+            .collect::<Vec<_>>(),
+    )
+    .unwrap();
+    let dest = DestTable::build(&g, &w, &ShortestPath);
+    let dest_split = DestTable::build(&split, &EdgeWeights::uniform(&split, 1u64), &ShortestPath);
+    let interval = IntervalTreeRouting::spanning(&g, &w, &ShortestPath);
+    let reference = [
+        with_threads(1, || compile(&Traced(&dest), &g).unwrap().digest()),
+        with_threads(1, || {
+            compile(&Traced(&dest_split), &split).unwrap().digest()
+        }),
+        with_threads(1, || compile(&Traced(&interval), &g).unwrap().digest()),
+    ];
+    for threads in THREAD_COUNTS {
+        for run in 0..REPEATS {
+            let digests = with_threads(threads, || {
+                [
+                    compile(&dest, &g).unwrap().digest(),
+                    compile(&dest_split, &split).unwrap().digest(),
+                    compile(&interval, &g).unwrap().digest(),
+                ]
+            });
+            assert_eq!(
+                digests, reference,
+                "transcribed planes diverged (threads = {threads}, run {run})"
+            );
         }
     }
 }
